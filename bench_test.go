@@ -594,7 +594,6 @@ func benchPersistentKV(b *testing.B, n int) (*storage.PersistentKV, [][]byte) {
 	kv, err := storage.OpenPersistentKV(b.TempDir(), storage.PersistentOptions{
 		MemtableBytes: 64 << 10,
 		MaxRuns:       64,
-		NoSync:        true,
 		Cache:         storage.NewBlockCache(8 << 20),
 	})
 	if err != nil {
@@ -614,7 +613,7 @@ func benchPersistentKV(b *testing.B, n int) (*storage.PersistentKV, [][]byte) {
 		for _, k := range keys[start:end] {
 			ops = append(ops, storage.Op{Key: k, Value: make([]byte, 256)})
 		}
-		if _, err := kv.ApplyNoSync(ops); err != nil {
+		if err := kv.Apply(ops); err != nil {
 			b.Fatal(err)
 		}
 	}

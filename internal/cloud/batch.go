@@ -4,8 +4,8 @@ package cloud
 // cells talking to a shared remote provider is dominated by round-trips, not
 // by bytes: uploading a vault one blob at a time costs one RTT per blob. The
 // batch API lets a cell hand the provider many blobs in a single exchange;
-// implementations that can exploit it (the sharded Memory, the pipelined TCP
-// client) advertise it by implementing BatchService, and the PutBlobsVia /
+// implementations that can exploit it (the sharded Memory, the TCP client)
+// advertise it by implementing BatchService, and the PutBlobsVia /
 // GetBlobsVia helpers degrade gracefully to per-blob calls on any other
 // Service.
 

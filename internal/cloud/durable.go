@@ -17,10 +17,10 @@ package cloud
 //
 // Batched operations group their arguments by shard exactly like Memory and
 // apply the per-shard groups in parallel goroutines. Durability comes from
-// the cross-shard commit journal (journal.go): the shard engines run without
-// WALs, and a whole batch is acknowledged after ONE fsync'd journal record —
-// not one barrier per shard — which is what holds E13's durability overhead
-// near the memory provider. Clients — including
+// the cross-shard commit journal (journal.go): the shard engines keep no log
+// of their own, and a whole batch is acknowledged after ONE fsync'd journal
+// record — not one barrier per shard — which is what holds E13's durability
+// overhead near the memory provider. Clients — including
 // the TCP server, which serves any Service — cannot tell the two backends
 // apart except by killing the process. DESIGN.md §8 documents the format and
 // the recovery protocol; experiment E13 measures the durability overhead and
@@ -99,22 +99,13 @@ type DurableRecovery struct {
 	// RecoveredRuns counts the run descriptors rebuilt by re-parsing the runs
 	// devices.
 	RecoveredRuns int
-	// ReplayedRecords / ReplayedOps count the log records and the individual
-	// operations re-applied to memtables — commit-journal records (the
-	// store's own log) plus any legacy per-shard WAL records found on disk.
-	ReplayedRecords int
-	ReplayedOps     int
-	// DuplicateRecords counts WAL records skipped because their sequence had
-	// already been applied.
-	DuplicateRecords int
-	// DiscardedWALBytes / DiscardedRunBytes are the torn tails truncated
-	// during recovery (unacknowledged appends, mid-flush crashes).
-	DiscardedWALBytes int64
+	// DiscardedRunBytes is the torn run tail truncated during recovery (a
+	// crash mid-flush).
 	DiscardedRunBytes int64
 	// JournalRecords / JournalOps count the commit-journal records replayed
-	// into the shard engines (the cross-shard durability log; each record is
-	// one acknowledged write batch). DiscardedJournalBytes is the journal's
-	// torn unacknowledged tail.
+	// into the shard engines (the store's only log; each record is one
+	// acknowledged write batch). DiscardedJournalBytes is the journal's torn
+	// unacknowledged tail.
 	JournalRecords        int
 	JournalOps            int
 	DiscardedJournalBytes int64
@@ -223,12 +214,6 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 		BloomBitsPerKey: opts.BloomBitsPerKey,
 		Cache:           d.cache,
 		Limiter:         d.limiter,
-		// The shard engines run without WALs: the cross-shard commit journal
-		// is the durability barrier (one fsync per batch instead of one per
-		// shard) AND the replay log (recoverJournal re-applies everything
-		// since the last checkpoint). A per-shard WAL would write every
-		// value a second time for no additional safety.
-		DisableWAL: true,
 	}
 	errs := make([]error, shards)
 	var wg sync.WaitGroup
@@ -260,10 +245,6 @@ func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 	for _, s := range d.shards {
 		rec := s.kv.Recovery()
 		d.recovery.RecoveredRuns += rec.RecoveredRuns
-		d.recovery.ReplayedRecords += rec.WALRecords
-		d.recovery.ReplayedOps += rec.WALOps
-		d.recovery.DuplicateRecords += rec.WALDuplicates
-		d.recovery.DiscardedWALBytes += rec.DiscardedWALBytes
 		d.recovery.DiscardedRunBytes += rec.DiscardedRunBytes
 	}
 	if err := d.recoverJournal(dir, opts); err != nil {
@@ -307,13 +288,11 @@ func (d *Durable) recoverJournal(dir string, opts DurableOptions) error {
 			return fmt.Errorf("cloud: journal group for shard %d of %d: %w",
 				g.shard, len(d.shards), storage.ErrCorrupt)
 		}
-		if _, err := d.shards[g.shard].kv.ApplyNoSync(g.ops); err != nil {
+		if err := d.shards[g.shard].kv.Apply(g.ops); err != nil {
 			return fmt.Errorf("cloud: journal replay shard %d: %w", g.shard, err)
 		}
 		d.recovery.JournalOps += len(g.ops)
 	}
-	d.recovery.ReplayedRecords += records
-	d.recovery.ReplayedOps += d.recovery.JournalOps
 	if err := d.flushShards(); err != nil {
 		return err
 	}
@@ -715,7 +694,7 @@ func (d *Durable) applyShardLocked(si int, ops []storage.Op) (journalGroup, erro
 	s := d.shards[si]
 	g := journalGroup{shard: si, seq: s.seq, ops: ops}
 	s.seq++
-	if _, err := s.kv.ApplyNoSync(ops); err != nil {
+	if err := s.kv.Apply(ops); err != nil {
 		return journalGroup{}, err
 	}
 	return g, nil

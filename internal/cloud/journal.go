@@ -5,13 +5,11 @@ package cloud
 // WAL fsyncs in parallel — and parallel fsyncs to different files mostly
 // serialize in the filesystem journal, so a 256-blob PutBlobs over 32 shards
 // paid ~5x the latency of a single barrier and E13 measured durability at
-// ~2x the throughput of the in-memory provider. With the journal, the shard
-// engines run with their own WAL fsyncs disabled and the whole cross-shard
-// batch is made durable by a single fsync'd record here: acknowledged means
-// "in the fsync'd journal", and recovery replays the journal into the shard
-// engines. The shard engines run with their WALs disabled outright — journal
-// replay restores everything since the last checkpoint, so a per-shard log
-// would just write every value a second time.
+// ~2x the throughput of the in-memory provider. Now the shard engines keep no
+// log of their own and the whole cross-shard batch is made durable by a
+// single fsync'd record here: acknowledged means "in the fsync'd journal",
+// and recovery replays the journal into the shard engines, restoring
+// everything since the last checkpoint.
 //
 // The barrier itself is kept cheap two ways. First, the journal file is
 // zero-filled to its full limit and fsync'd when opened, and re-zeroed after

@@ -212,34 +212,6 @@ func (c *Client) call(req rpcRequest) (rpcResponse, error) {
 	return resp, nil
 }
 
-// pipeline writes every request before reading the first response, so the
-// whole slice shares the connection's round-trip instead of paying one per
-// request. The server handles a connection sequentially, which guarantees
-// responses come back in request order.
-func (c *Client) pipeline(reqs []rpcRequest) ([]rpcResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range reqs {
-		if err := c.enc.Encode(&reqs[i]); err != nil {
-			return nil, fmt.Errorf("cloud: rpc pipeline send: %w", err)
-		}
-	}
-	resps := make([]rpcResponse, len(reqs))
-	for i := range resps {
-		if err := c.dec.Decode(&resps[i]); err != nil {
-			return nil, fmt.Errorf("cloud: rpc pipeline receive: %w", err)
-		}
-	}
-	return resps, nil
-}
-
-// unknownOp reports whether a response error means the server predates the
-// requested operation, in which case the client degrades to pipelined
-// single-blob requests.
-func unknownOp(resp rpcResponse) bool {
-	return strings.Contains(resp.Err, "unknown op")
-}
-
 // respError turns a wire response back into the error the server-side
 // Service returned, reconstructing the typed sentinels and the retry-after
 // carrying OverloadError/QuotaError so errors.Is/As work across the wire.
@@ -308,109 +280,46 @@ func (c *Client) ListBlobs(prefix string) ([]string, error) {
 }
 
 // PutBlobs implements BatchService over the wire: the whole batch is one
-// request/response exchange. If the server predates the batch protocol, the
-// client falls back to pipelining one request per blob over the persistent
-// connection, which still collapses N round-trips into one.
+// request/response exchange.
 func (c *Client) PutBlobs(puts []BlobPut) ([]int, error) {
 	resp, err := c.call(rpcRequest{Op: "putb", Puts: puts})
 	if err != nil {
 		return nil, err
 	}
-	if !unknownOp(resp) {
-		if err := respError(resp); err != nil {
-			return nil, err
-		}
-		// The provider is untrusted: never hand positional callers a slice
-		// whose length the server chose.
-		if len(resp.Versions) != len(puts) {
-			return nil, fmt.Errorf("cloud: batch put: server returned %d versions for %d blobs", len(resp.Versions), len(puts))
-		}
-		return resp.Versions, nil
-	}
-	reqs := make([]rpcRequest, len(puts))
-	for i, p := range puts {
-		reqs[i] = rpcRequest{Op: "put", Name: p.Name, Data: p.Data}
-	}
-	resps, err := c.pipeline(reqs)
-	if err != nil {
+	if err := respError(resp); err != nil {
 		return nil, err
 	}
-	versions := make([]int, len(resps))
-	for i, r := range resps {
-		if err := respError(r); err != nil {
-			return nil, err
-		}
-		versions[i] = r.Version
+	// The provider is untrusted: never hand positional callers a slice whose
+	// length the server chose.
+	if len(resp.Versions) != len(puts) {
+		return nil, fmt.Errorf("cloud: batch put: server returned %d versions for %d blobs", len(resp.Versions), len(puts))
 	}
-	return versions, nil
+	return resp.Versions, nil
 }
 
-// GetBlobs implements BatchService over the wire, with the same pipelined
-// fallback as PutBlobs. Missing blobs yield a zero Blob at their position.
+// GetBlobs implements BatchService over the wire in one exchange. Missing
+// blobs yield a zero Blob at their position.
 func (c *Client) GetBlobs(names []string) ([]Blob, error) {
 	resp, err := c.call(rpcRequest{Op: "getb", Names: names})
 	if err != nil {
 		return nil, err
 	}
-	if !unknownOp(resp) {
-		if err := respError(resp); err != nil {
-			return nil, err
-		}
-		if len(resp.Blobs) != len(names) {
-			return nil, fmt.Errorf("cloud: batch get: server returned %d blobs for %d names", len(resp.Blobs), len(names))
-		}
-		return resp.Blobs, nil
-	}
-	reqs := make([]rpcRequest, len(names))
-	for i, name := range names {
-		reqs[i] = rpcRequest{Op: "get", Name: name}
-	}
-	resps, err := c.pipeline(reqs)
-	if err != nil {
+	if err := respError(resp); err != nil {
 		return nil, err
 	}
-	blobs := make([]Blob, len(resps))
-	for i, r := range resps {
-		err := respError(r)
-		if err == ErrBlobNotFound {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		if r.Blob != nil {
-			blobs[i] = *r.Blob
-		}
+	if len(resp.Blobs) != len(names) {
+		return nil, fmt.Errorf("cloud: batch get: server returned %d blobs for %d names", len(resp.Blobs), len(names))
 	}
-	return blobs, nil
+	return resp.Blobs, nil
 }
 
 // GetBlobsIf implements ConditionalBatchService over the wire: the whole
 // conditional batch is one request/response exchange, and the server only
-// ships data for the blobs that advanced past the requested versions. If the
-// server predates the conditional protocol, the client falls back to an
-// unconditional GetBlobs and filters locally — correct, without the
-// bandwidth savings.
+// ships data for the blobs that advanced past the requested versions.
 func (c *Client) GetBlobsIf(gets []CondGet) ([]Blob, error) {
 	resp, err := c.call(rpcRequest{Op: "getc", Gets: gets})
 	if err != nil {
 		return nil, err
-	}
-	if unknownOp(resp) {
-		names := make([]string, len(gets))
-		for i, g := range gets {
-			names[i] = g.Name
-		}
-		blobs, err := c.GetBlobs(names)
-		if err != nil {
-			return nil, err
-		}
-		for i := range blobs {
-			if blobs[i].Version <= gets[i].IfNewer {
-				blobs[i].Data = nil
-			}
-		}
-		return blobs, nil
 	}
 	if err := respError(resp); err != nil {
 		return nil, err

@@ -162,24 +162,27 @@ func TestTCPPipelining(t *testing.T) {
 	mem := NewMemory()
 	client := startServer(t, mem)
 
-	// Write the whole request train before reading any response — the raw
-	// mechanism behind the batch fallback for pre-batch servers.
-	reqs := make([]rpcRequest, 10)
-	for i := range reqs {
-		reqs[i] = rpcRequest{Op: "put", Name: fmt.Sprintf("p-%02d", i), Data: []byte("x")}
+	// Write the whole request train before reading any response: the server
+	// handles a connection sequentially, so the answers come back in request
+	// order.
+	for i := 0; i < 10; i++ {
+		req := rpcRequest{Op: "put", Name: fmt.Sprintf("p-%02d", i%5), Data: []byte("x")}
+		if err := client.enc.Encode(&req); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
 	}
-	resps, err := client.pipeline(reqs)
-	if err != nil {
-		t.Fatalf("pipeline: %v", err)
-	}
-	for i, r := range resps {
-		if r.Err != "" || r.Version != 1 {
+	for i := 0; i < 10; i++ {
+		var r rpcResponse
+		if err := client.dec.Decode(&r); err != nil {
+			t.Fatalf("receive %d: %v", i, err)
+		}
+		// The second put of each name answers version 2.
+		if r.Err != "" || r.Version != 1+i/5 {
 			t.Fatalf("pipelined response %d: %+v", i, r)
 		}
 	}
-	// Responses must have come back in request order.
 	names, _ := mem.ListBlobs("p-")
-	if len(names) != 10 {
+	if len(names) != 5 {
 		t.Fatalf("pipelined puts stored %d blobs", len(names))
 	}
 }

@@ -4,8 +4,8 @@ package datamodel
 // replication blobs, vault snapshots — historically paid json.Marshal and
 // json.Unmarshal per document; the compact length-prefixed binary form below
 // roughly halves the payload bytes and removes the reflection cost from the
-// sealing hot path. The JSON codec remains the fallback: DecodeDocument
-// sniffs the first byte, so old blobs keep decoding forever.
+// sealing hot path. It is the only document codec: input that does not start
+// with the magic byte is rejected with ErrCodec.
 //
 // Wire format (all integers are unsigned varints unless noted):
 //
@@ -29,8 +29,8 @@ import (
 
 const (
 	// DocCodecMagic is the first byte of every binary-encoded document. JSON
-	// text can never start with it, which is what lets DecodeDocument pick
-	// the codec without a flag.
+	// text can never start with it, so a document that was JSON-encoded is
+	// rejected at the first byte.
 	DocCodecMagic = 0xD0
 
 	docCodecVersion = 1
@@ -198,10 +198,9 @@ func DecodeDocumentPrefix(data []byte) (*Document, []byte, error) {
 	return &d, b, nil
 }
 
-// DecodeDocumentBinary parses a complete binary-encoded document, rejecting
-// trailing bytes and validating the result — the strict counterpart of the
-// JSON path in DecodeDocument.
-func DecodeDocumentBinary(data []byte) (*Document, error) {
+// DecodeDocument parses a complete binary-encoded document, rejecting
+// trailing bytes and validating the result.
+func DecodeDocument(data []byte) (*Document, error) {
 	d, rest, err := DecodeDocumentPrefix(data)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,8 @@
 package datamodel
 
 import (
+	"encoding/json"
+	"errors"
 	"testing"
 	"time"
 )
@@ -68,39 +70,31 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: EncodeBinary: %v", doc.ID, err)
 		}
-		got, err := DecodeDocumentBinary(data)
+		got, err := DecodeDocument(data)
 		if err != nil {
-			t.Fatalf("%s: DecodeDocumentBinary: %v", doc.ID, err)
+			t.Fatalf("%s: DecodeDocument: %v", doc.ID, err)
 		}
 		docsEquivalent(t, doc, got)
 	}
 }
 
-// TestCrossCodecDecode is the cross-decode guarantee of the dual-codec
-// design: a binary-encoded document and its JSON twin decode — through the
-// one sniffing entry point — to equivalent documents.
+// TestCrossCodecDecode pins that the binary codec is the only one: the JSON
+// form of a valid document — which earlier versions also decoded — is
+// rejected with ErrCodec, never read as a document.
 func TestCrossCodecDecode(t *testing.T) {
 	for _, doc := range codecTestDocs() {
-		jsonBytes, err := doc.Encode()
+		jsonBytes, err := json.Marshal(doc)
 		if err != nil {
-			t.Fatalf("%s: Encode: %v", doc.ID, err)
+			t.Fatalf("%s: json.Marshal: %v", doc.ID, err)
 		}
-		binBytes, err := doc.EncodeBinary()
-		if err != nil {
-			t.Fatalf("%s: EncodeBinary: %v", doc.ID, err)
+		if _, err := DecodeDocument(jsonBytes); !errors.Is(err, ErrCodec) {
+			t.Fatalf("%s: DecodeDocument(json) = %v, want ErrCodec", doc.ID, err)
 		}
-		if len(binBytes) >= len(jsonBytes) {
-			t.Errorf("%s: binary (%d B) not smaller than JSON (%d B)", doc.ID, len(binBytes), len(jsonBytes))
+	}
+	for _, input := range []string{`{"id":"x","owner":"y","type":"z"}`, "not json", ""} {
+		if _, err := DecodeDocument([]byte(input)); !errors.Is(err, ErrCodec) {
+			t.Fatalf("DecodeDocument(%q) = %v, want ErrCodec", input, err)
 		}
-		fromJSON, err := DecodeDocument(jsonBytes)
-		if err != nil {
-			t.Fatalf("%s: DecodeDocument(json): %v", doc.ID, err)
-		}
-		fromBin, err := DecodeDocument(binBytes)
-		if err != nil {
-			t.Fatalf("%s: DecodeDocument(binary): %v", doc.ID, err)
-		}
-		docsEquivalent(t, fromJSON, fromBin)
 	}
 }
 
@@ -126,32 +120,31 @@ func TestBinaryCodecRejectsMalformed(t *testing.T) {
 		"trailing bytes": append(append([]byte(nil), data...), 0x00),
 	}
 	for name, input := range cases {
-		if _, err := DecodeDocumentBinary(input); err == nil {
+		if _, err := DecodeDocument(input); err == nil {
 			t.Fatalf("%s: malformed input accepted", name)
 		}
 	}
 	// Truncation at every boundary must error, never panic.
 	for n := 0; n < len(data); n++ {
-		if _, err := DecodeDocumentBinary(data[:n]); err == nil {
+		if _, err := DecodeDocument(data[:n]); err == nil {
 			t.Fatalf("truncation at %d bytes accepted", n)
 		}
 	}
 }
 
-// FuzzDecodeDocument throws arbitrary bytes at the sniffing decoder: it must
-// never panic, and anything it accepts must re-encode and decode to an
-// equivalent document (round-trip stability).
+// FuzzDecodeDocument throws arbitrary bytes at the decoder: it must never
+// panic, and anything it accepts must re-encode and decode to an equivalent
+// document (round-trip stability). The seeds are binary documents, whole and
+// cut short, plus malformed headers.
 func FuzzDecodeDocument(f *testing.F) {
 	for _, doc := range codecTestDocs() {
 		if bin, err := doc.EncodeBinary(); err == nil {
 			f.Add(bin)
-		}
-		if js, err := doc.Encode(); err == nil {
-			f.Add(js)
+			f.Add(bin[:len(bin)/2])
 		}
 	}
 	f.Add([]byte{DocCodecMagic, docCodecVersion, 0xFF, 0xFF, 0xFF})
-	f.Add([]byte(`{"id":"x","owner":"y","type":"z"}`))
+	f.Add([]byte{DocCodecMagic, 99})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		doc, err := DecodeDocument(data)
@@ -162,7 +155,7 @@ func FuzzDecodeDocument(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded document does not re-encode: %v", err)
 		}
-		again, err := DecodeDocumentBinary(bin)
+		again, err := DecodeDocument(bin)
 		if err != nil {
 			t.Fatalf("re-encoded document does not decode: %v", err)
 		}

@@ -1,6 +1,7 @@
 package datamodel
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -72,7 +73,7 @@ func TestNewDocumentIDDeterministicAndDistinct(t *testing.T) {
 
 func TestDocumentEncodeDecode(t *testing.T) {
 	d := sampleDoc(3, ClassExternal)
-	enc, err := d.Encode()
+	enc, err := d.EncodeBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +84,12 @@ func TestDocumentEncodeDecode(t *testing.T) {
 	if got.ID != d.ID || got.Class != d.Class || got.Tags["device"] != "linky" {
 		t.Fatalf("decoded doc differs: %+v", got)
 	}
-	if _, err := DecodeDocument([]byte(`{"id":""}`)); err == nil {
-		t.Fatal("invalid decoded doc accepted")
+	invalid, err := (&Document{Owner: "alice", Type: "note"}).EncodeBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := DecodeDocument([]byte("not json")); err == nil {
-		t.Fatal("bad json accepted")
+	if _, err := DecodeDocument(invalid); !errors.Is(err, ErrInvalidDoc) {
+		t.Fatalf("document without an id decoded: %v", err)
 	}
 }
 

@@ -37,6 +37,9 @@ var (
 	ErrCorrupt    = errors.New("storage: corrupted record")
 	ErrReadOnly   = errors.New("storage: device is read-only")
 	ErrOutOfSpace = errors.New("storage: device capacity exceeded")
+	// ErrUnsupportedFormat reports intact on-disk data in a format this
+	// engine no longer reads. The data is left as it was.
+	ErrUnsupportedFormat = errors.New("storage: unsupported on-disk format")
 )
 
 // Device abstracts the stable storage behind the engine: a NAND flash chip,
@@ -53,9 +56,9 @@ type Device interface {
 }
 
 // Truncater is the optional truncation extension of Device. The persistent
-// engine uses it to discard a torn tail detected during recovery and to reset
-// the write-ahead log after a checkpoint; every device in this package
-// implements it.
+// engine uses it to discard a torn tail detected during recovery and the
+// commit journal to reset its log after a checkpoint; every device in this
+// package implements it.
 type Truncater interface {
 	// Truncate discards everything past size bytes.
 	Truncate(size int64) error

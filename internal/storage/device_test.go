@@ -83,8 +83,16 @@ func TestFileDevice(t *testing.T) {
 	if string(buf) != "persisted" {
 		t.Fatalf("read %q", buf)
 	}
+	if err := d.Datasync(); err != nil {
+		t.Fatalf("Datasync: %v", err)
+	}
 	// Reopen picks up the existing size.
 	d.Close()
+	// A barrier after Close must fail, not sync whichever file now holds
+	// the released descriptor number.
+	if err := d.Datasync(); err == nil {
+		t.Fatal("Datasync after Close succeeded")
+	}
 	d2, err := OpenFileDevice(path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)

@@ -170,6 +170,13 @@ func TestOpenRunRejectsDamage(t *testing.T) {
 	if _, err := openRun(dev, dev.Size()-2); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("torn header accepted: %v", err)
 	}
+	// An intact run without a footer is not torn: it is a format the engine
+	// no longer reads.
+	legacy := NewMemDevice(0)
+	writeFooterlessRun(t, legacy, []memEntry{{key: []byte("alpha"), value: []byte("1")}})
+	if _, err := openRun(legacy, 0); !errors.Is(err, ErrUnsupportedFormat) {
+		t.Fatalf("footer-less run: %v, want ErrUnsupportedFormat", err)
+	}
 }
 
 func TestFullReadFullWriteHelpers(t *testing.T) {

@@ -72,35 +72,54 @@ func TestPersistentKVRoundTripAndReopen(t *testing.T) {
 	if got := collect(t, p2); len(got) != len(want) || got["b"] != "2" || got["c"] != "3" {
 		t.Fatalf("reopened state = %v, want %v", got, want)
 	}
-	// Close flushed, so the reopened store recovered from a run, not the WAL.
-	rec := p2.Recovery()
-	if rec.RecoveredRuns == 0 || rec.WALRecords != 0 {
+	// Close flushed, so the reopened store recovered from a run.
+	if rec := p2.Recovery(); rec.RecoveredRuns == 0 {
 		t.Fatalf("recovery after graceful close: %+v", rec)
 	}
 }
 
-func TestPersistentKVWALReplayAfterCrash(t *testing.T) {
-	dir := t.TempDir()
-	p := mustOpen(t, dir, testOpts())
-	for i := 0; i < 20; i++ {
-		put(t, p, fmt.Sprintf("key-%03d", i), fmt.Sprintf("val-%03d", i))
+// requireOnlyRunsFile fails unless dir holds exactly the first generation's
+// runs file: the engine keeps no log beside its runs.
+func requireOnlyRunsFile(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	p.Crash()
-
-	p2 := mustOpen(t, dir, testOpts())
-	defer p2.Close()
-	rec := p2.Recovery()
-	if rec.WALRecords != 20 || rec.WALOps != 20 {
-		t.Fatalf("expected 20 WAL records replayed, got %+v", rec)
-	}
-	for i := 0; i < 20; i++ {
-		v, err := p2.Get([]byte(fmt.Sprintf("key-%03d", i)))
-		if err != nil || string(v) != fmt.Sprintf("val-%03d", i) {
-			t.Fatalf("key-%03d after crash: %q, %v", i, v, err)
-		}
+	if len(entries) != 1 || entries[0].Name() != "runs-000000.dat" {
+		t.Fatalf("store files = %v, want only the runs file", entries)
 	}
 }
 
+// TestPersistentKVDisableWAL pins the engine's durability contract, once the
+// optional log-less mode and now its only one: Apply only writes the
+// memtable, Flush makes it durable. A crash keeps every flushed write and
+// loses the rest — replaying those is the job of the caller's own log
+// (cloud.Durable's commit journal).
+func TestPersistentKVDisableWAL(t *testing.T) {
+	dir := t.TempDir()
+	p := mustOpen(t, dir, testOpts())
+	put(t, p, "flushed", "yes")
+	if err := p.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	put(t, p, "unflushed", "gone")
+	p.Crash()
+
+	requireOnlyRunsFile(t, dir)
+	p2 := mustOpen(t, dir, testOpts())
+	defer p2.Close()
+	if v, err := p2.Get([]byte("flushed")); err != nil || string(v) != "yes" {
+		t.Fatalf("flushed key after crash: %q, %v", v, err)
+	}
+	if _, err := p2.Get([]byte("unflushed")); err != ErrNotFound {
+		t.Fatalf("unflushed key survived a crash: %v", err)
+	}
+}
+
+// TestPersistentKVFlushResetsWAL: a flush empties the memtable into one run
+// and leaves nothing to replay, so a crash right after it recovers the value
+// from that run alone, with no bytes discarded.
 func TestPersistentKVFlushResetsWAL(t *testing.T) {
 	dir := t.TempDir()
 	p := mustOpen(t, dir, testOpts())
@@ -108,22 +127,15 @@ func TestPersistentKVFlushResetsWAL(t *testing.T) {
 	if err := p.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	wal, err := os.Stat(filepath.Join(dir, "wal.dat"))
-	if err != nil {
-		t.Fatalf("stat wal: %v", err)
-	}
-	if wal.Size() != 0 {
-		t.Fatalf("WAL not reset after flush: %d bytes", wal.Size())
-	}
-	st := p.Stats()
-	if st.Flushes != 1 || st.Runs != 1 || st.MemtableLen != 0 {
+	if st := p.Stats(); st.Flushes != 1 || st.Runs != 1 || st.MemtableLen != 0 {
 		t.Fatalf("stats after flush: %+v", st)
 	}
+	requireOnlyRunsFile(t, dir)
 	p.Crash()
-	// The flushed value must come back from the run with nothing to replay.
+
 	p2 := mustOpen(t, dir, testOpts())
 	defer p2.Close()
-	if rec := p2.Recovery(); rec.RecoveredRuns != 1 || rec.WALRecords != 0 {
+	if rec := p2.Recovery(); rec.RecoveredRuns != 1 || rec.DiscardedRunBytes != 0 {
 		t.Fatalf("recovery: %+v", rec)
 	}
 	if v, err := p2.Get([]byte("k")); err != nil || string(v) != "v" {
@@ -131,179 +143,121 @@ func TestPersistentKVFlushResetsWAL(t *testing.T) {
 	}
 }
 
-// TestPersistentKVWALCrashPoints damages the WAL the way real crashes do —
-// truncation mid-record, a torn header, a doubled record, a corrupted
-// payload, a length field pointing past the file — and verifies recovery is
-// lossless up to the damage and idempotent (a second reopen sees the same
-// state as the first).
-func TestPersistentKVWALCrashPoints(t *testing.T) {
-	const records = 8
-	// lastRecord returns the byte range of the final WAL record by writing
-	// the same workload twice and diffing the sizes — kept deterministic by
-	// the fixed key/value shapes below.
-	type wantState func(t *testing.T, state map[string]string, rec RecoveryInfo)
-	allBut := func(missing int) map[string]string {
-		want := make(map[string]string)
-		for i := 0; i < records-missing; i++ {
-			want[fmt.Sprintf("key-%03d", i)] = fmt.Sprintf("val-%03d", i)
+// readDirFiles returns the name and content of every file in dir.
+func readDirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return want
+		files[e.Name()] = string(raw)
 	}
-	cases := []struct {
-		name   string
-		damage func(t *testing.T, walPath string)
-		want   wantState
-	}{
-		{
-			name: "truncate-mid-record",
-			damage: func(t *testing.T, walPath string) {
-				info, err := os.Stat(walPath)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.Truncate(walPath, info.Size()-3); err != nil {
-					t.Fatal(err)
-				}
-			},
-			want: func(t *testing.T, state map[string]string, rec RecoveryInfo) {
-				if len(state) != records-1 {
-					t.Fatalf("state = %v", state)
-				}
-				for k, v := range allBut(1) {
-					if state[k] != v {
-						t.Fatalf("missing %s: %v", k, state)
-					}
-				}
-				if rec.DiscardedWALBytes == 0 {
-					t.Fatalf("no WAL bytes discarded: %+v", rec)
-				}
-			},
-		},
-		{
-			name: "torn-header",
-			damage: func(t *testing.T, walPath string) {
-				f, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0o600)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// 5 of the 8 header bytes of a record that never finished.
-				if _, err := f.Write([]byte{0xDE, 0xAD, 0xBE, 0xEF, 0x99}); err != nil {
-					t.Fatal(err)
-				}
-				f.Close()
-			},
-			want: func(t *testing.T, state map[string]string, rec RecoveryInfo) {
-				if len(state) != records {
-					t.Fatalf("complete records must all survive: %v", state)
-				}
-				if rec.DiscardedWALBytes != 5 {
-					t.Fatalf("expected the 5 torn bytes discarded: %+v", rec)
-				}
-			},
-		},
-		{
-			name: "duplicate-sequence",
-			damage: func(t *testing.T, walPath string) {
-				raw, err := os.ReadFile(walPath)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Every record has the same size (fixed-width keys/values), so
-				// the last record is the last len/records slice.
-				recSize := len(raw) / records
-				f, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0o600)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := f.Write(raw[len(raw)-recSize:]); err != nil {
-					t.Fatal(err)
-				}
-				f.Close()
-			},
-			want: func(t *testing.T, state map[string]string, rec RecoveryInfo) {
-				if len(state) != records {
-					t.Fatalf("state = %v", state)
-				}
-				if rec.WALDuplicates != 1 {
-					t.Fatalf("expected 1 duplicate skipped: %+v", rec)
-				}
-				if rec.WALRecords != records {
-					t.Fatalf("expected %d records applied once: %+v", records, rec)
-				}
-			},
-		},
-		{
-			name: "corrupt-payload",
-			damage: func(t *testing.T, walPath string) {
-				raw, err := os.ReadFile(walPath)
-				if err != nil {
-					t.Fatal(err)
-				}
-				raw[len(raw)-2] ^= 0xFF
-				if err := os.WriteFile(walPath, raw, 0o600); err != nil {
-					t.Fatal(err)
-				}
-			},
-			want: func(t *testing.T, state map[string]string, rec RecoveryInfo) {
-				if len(state) != records-1 {
-					t.Fatalf("corrupted record must be dropped: %v", state)
-				}
-				if rec.DiscardedWALBytes == 0 {
-					t.Fatalf("no WAL bytes discarded: %+v", rec)
-				}
-			},
-		},
-		{
-			name: "huge-length-header",
-			damage: func(t *testing.T, walPath string) {
-				raw, err := os.ReadFile(walPath)
-				if err != nil {
-					t.Fatal(err)
-				}
-				recSize := len(raw) / records
-				off := len(raw) - recSize
-				// The length field (bytes 4..8 of the header) claims 4 GiB; a
-				// recovery without bounds checks would try to allocate it.
-				raw[off+4], raw[off+5], raw[off+6], raw[off+7] = 0xFF, 0xFF, 0xFF, 0xFF
-				if err := os.WriteFile(walPath, raw, 0o600); err != nil {
-					t.Fatal(err)
-				}
-			},
-			want: func(t *testing.T, state map[string]string, rec RecoveryInfo) {
-				if len(state) != records-1 {
-					t.Fatalf("oversized record must be dropped: %v", state)
-				}
-			},
-		},
+	return files
+}
+
+// openUnsupported opens dir, requires ErrUnsupportedFormat, and requires
+// every file in dir to be exactly as it was before the open.
+func openUnsupported(t *testing.T, dir string) {
+	t.Helper()
+	before := readDirFiles(t, dir)
+	if p, err := OpenPersistentKV(dir, testOpts()); !errors.Is(err, ErrUnsupportedFormat) {
+		if err == nil {
+			p.Close()
+		}
+		t.Fatalf("OpenPersistentKV = %v, want ErrUnsupportedFormat", err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			p := mustOpen(t, dir, testOpts())
-			for i := 0; i < records; i++ {
-				put(t, p, fmt.Sprintf("key-%03d", i), fmt.Sprintf("val-%03d", i))
-			}
-			p.Crash()
-			tc.damage(t, filepath.Join(dir, "wal.dat"))
+	after := readDirFiles(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("files changed: %d before, %d after", len(before), len(after))
+	}
+	for name, raw := range before {
+		if after[name] != raw {
+			t.Fatalf("%s changed: %d bytes before, %d after", name, len(raw), len(after[name]))
+		}
+	}
+}
 
-			p2 := mustOpen(t, dir, testOpts())
-			first := collect(t, p2)
-			tc.want(t, first, p2.Recovery())
-			p2.Crash()
+// TestPersistentKVRejectsFooterlessRun: a generation holding a CRC-valid run
+// in the pre-footer format fails to open instead of being truncated as a
+// torn tail, and nothing in the directory is touched — not the run, not a
+// torn run after it, not the stale files a successful open would remove.
+func TestPersistentKVRejectsFooterlessRun(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "runs-000001.dat")
+	dev, err := OpenFileDevice(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFooterlessRun(t, dev, []memEntry{{key: []byte("a"), value: []byte("1")}, {key: []byte("b"), value: []byte("2")}})
+	writeFooterlessRun(t, dev, []memEntry{{key: []byte("c"), value: []byte("3")}})
+	if err := dev.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, raw := range map[string]string{
+		"runs-000000.dat": "stale generation",
+		"runs-000002.tmp": "abandoned compaction",
+		"wal.dat":         "",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(raw), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	openUnsupported(t, dir)
 
-			// Idempotence: recovering the recovered store changes nothing.
-			p3 := mustOpen(t, dir, testOpts())
-			defer p3.Close()
-			second := collect(t, p3)
-			if len(first) != len(second) {
-				t.Fatalf("second recovery diverged: %v vs %v", first, second)
-			}
-			for k, v := range first {
-				if second[k] != v {
-					t.Fatalf("second recovery diverged at %s: %q vs %q", k, v, second[k])
-				}
-			}
-		})
+	// A torn run after the footer-less ones changes nothing: the first run
+	// already fails the open.
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{1, 2, 3, 4, 0, 0, 1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	openUnsupported(t, dir)
+}
+
+// TestPersistentKVRejectsNonEmptyWAL: older engines logged writes to wal.dat
+// before they reached a run. A non-empty log fails the open with every file
+// left as it was; an empty one (every store that ran with the log disabled
+// has one) is removed.
+func TestPersistentKVRejectsNonEmptyWAL(t *testing.T) {
+	dir := t.TempDir()
+	p := mustOpen(t, dir, testOpts())
+	put(t, p, "flushed", "yes")
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, "wal.dat")
+	log := NewAppendLog(NewMemDevice(0))
+	if _, err := log.Append([]byte("an unreplayed batch")); err != nil {
+		t.Fatal(err)
+	}
+	record := make([]byte, log.Head())
+	if _, err := log.dev.ReadAt(record, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(walPath, record, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	openUnsupported(t, dir)
+
+	if err := os.WriteFile(walPath, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	p = mustOpen(t, dir, testOpts())
+	defer p.Close()
+	if _, err := os.Stat(walPath); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("empty wal.dat not removed: %v", err)
+	}
+	if v, err := p.Get([]byte("flushed")); err != nil || string(v) != "yes" {
+		t.Fatalf("flushed key: %q, %v", v, err)
 	}
 }
 
@@ -441,6 +395,9 @@ func TestPersistentKVConcurrentGroupCommit(t *testing.T) {
 	wg.Wait()
 	if t.Failed() {
 		return
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	p.Crash()
 	p2 := mustOpen(t, dir, testOpts())

@@ -4,9 +4,8 @@ package sync
 // implementation paid json.Marshal/Unmarshal over the whole shard (hundreds
 // of documents) per exchange. The length-prefixed binary form below embeds
 // the datamodel binary document codec, roughly halving shard blob bytes and
-// removing the reflection cost from the sync hot path. Decoding sniffs the
-// first byte and falls back to JSON, so shard blobs pushed by older replicas
-// keep merging cleanly.
+// removing the reflection cost from the sync hot path. It is the only shard
+// codec: a blob that does not start with the magic byte is rejected.
 //
 // Wire format (integers are unsigned varints):
 //
@@ -23,7 +22,6 @@ package sync
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -152,18 +150,9 @@ func appendShardState(dst []byte, st shardState) ([]byte, error) {
 
 var errShardCodec = fmt.Errorf("sync: malformed shard state")
 
-// decodeShardState parses a shard blob in either codec: binary states (first
-// byte shardCodecMagic) through the decoder below, anything else through the
-// JSON fallback that older replicas pushed.
+// decodeShardState parses a binary shard blob.
 func decodeShardState(data []byte) (shardState, error) {
-	if len(data) == 0 || data[0] != shardCodecMagic {
-		var st shardState
-		if err := json.Unmarshal(data, &st); err != nil {
-			return shardState{}, fmt.Errorf("sync: decode shard state: %w", err)
-		}
-		return st, nil
-	}
-	if len(data) < 2 || (data[1] != shardCodecVersion && data[1] != shardCodecVersionAuth) {
+	if len(data) < 2 || data[0] != shardCodecMagic || (data[1] != shardCodecVersion && data[1] != shardCodecVersionAuth) {
 		return shardState{}, errShardCodec
 	}
 	codecVersion := data[1]

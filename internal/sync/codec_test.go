@@ -2,6 +2,7 @@ package sync
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -70,20 +71,20 @@ func TestShardCodecRoundTrip(t *testing.T) {
 	statesEquivalent(t, want, got)
 }
 
-// TestShardCodecJSONFallback proves a shard blob pushed by an older (JSON)
-// replica still decodes through the sniffing entry point, and that the binary
-// form is smaller than its JSON twin.
+// TestShardCodecJSONFallback pins that the JSON fallback is gone: the JSON
+// form of a shard state, which earlier replicas also decoded, is rejected
+// with errShardCodec, and the binary form stays smaller than its JSON twin.
 func TestShardCodecJSONFallback(t *testing.T) {
 	want := codecTestState()
 	jsonBytes, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeShardState(jsonBytes)
-	if err != nil {
-		t.Fatalf("JSON fallback: %v", err)
+	for _, input := range [][]byte{jsonBytes, []byte("{}"), nil} {
+		if _, err := decodeShardState(input); !errors.Is(err, errShardCodec) {
+			t.Fatalf("decodeShardState(%.20q) = %v, want errShardCodec", input, err)
+		}
 	}
-	statesEquivalent(t, want, got)
 
 	binBytes, err := appendShardState(nil, want)
 	if err != nil {

@@ -63,7 +63,8 @@ func TestCorruptBlobFailsClosed(t *testing.T) {
 // majority.
 func TestCorruptMemberQuarantinedFleetRoutesAround(t *testing.T) {
 	faulty := cloud.NewFaulty(cloud.NewMemory(), cloud.FaultyOptions{Seed: 11})
-	members := []cloud.Service{faulty, cloud.NewMemory(), cloud.NewMemory()}
+	honest1, honest2 := cloud.NewMemory(), cloud.NewMemory()
+	members := []cloud.Service{faulty, honest1, honest2}
 	fleet, err := cloud.NewReplicated(members, cloud.ReplicatedOptions{WriteQuorum: 3, ReadQuorum: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -84,9 +85,16 @@ func TestCorruptMemberQuarantinedFleetRoutesAround(t *testing.T) {
 	}
 
 	faulty.SetCorrupt(1)
+	// A read quorum is the first two members to answer, and the rotten copy
+	// only wins the tie-break if member 0 is one of them: hold the honest
+	// members back for this pull so it always is.
+	honest1.SetLatency(20 * time.Millisecond)
+	honest2.SetLatency(20 * time.Millisecond)
 	if err := b.Pull(); err == nil {
 		t.Fatal("fleet served a corrupted member's bytes without failing closed")
 	}
+	honest1.SetLatency(0)
+	honest2.SetLatency(0)
 
 	// The audit sweep convicts member 0: every shard blob it serves flips a
 	// bit and fails verification.
