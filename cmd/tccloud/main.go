@@ -25,20 +25,23 @@
 //	tccloud -addr :7070 -data-dir /var/lib/tccloud \
 //	    -member host-b:7070 -member host-c:7070 -quorum-w 2 -quorum-r 2
 //
-// With -framed-addr the server additionally opens the fleet-scale front
-// door: the connection-multiplexed framed protocol (trustedcells.DialFramed)
-// with admission control — when more than -max-inflight weighted mutations
-// are executing, further ones are shed immediately with a typed retry-after
-// error instead of queuing — and optional per-tenant namespaces and quotas:
+// Every connection speaks the connection-multiplexed framed protocol
+// (trustedcells.DialCloud) through the front door: admission control —
+// when more than -max-inflight weighted mutations are executing, further
+// ones are shed immediately with a typed retry-after error instead of
+// queuing (one batch heavier than the whole budget is admitted when
+// nothing else is in flight) — and optional per-tenant namespaces and
+// quotas. Frames are not capped below the format's 4 GiB:
 //
-//	tccloud -addr :7070 -framed-addr :7071 -data-dir /var/lib/tccloud \
+//	tccloud -addr :7070 -data-dir /var/lib/tccloud \
 //	    -max-inflight 1024 \
 //	    -tenant acme:1073741824:500 -tenant globex
 //
 // Each -tenant is name[:maxBytes[:opsPerSec]]; omitted budgets are
-// unlimited. A framed connection binds to its tenant with a hello frame and
-// then sees only its own namespace. The classic line-protocol listener keeps
-// serving the backend directly, so existing clients are unaffected.
+// unlimited. A connection binds to its tenant with a hello frame and then
+// sees only its own namespace; connections that never say hello — tccell,
+// and the coordinator of a replicated fleet dialing its members — reach the
+// backend through admission control, outside any tenant namespace.
 //
 // The mailboxes double as the distributed shared commons' query plane
 // (DESIGN.md §13): a community coordinator scatters sealed query specs into
@@ -52,6 +55,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"os"
 	"os/signal"
@@ -165,9 +169,8 @@ func main() {
 	var tenants tenantList
 	var (
 		addr       = flag.String("addr", "127.0.0.1:7070", "address to listen on")
-		framedAddr = flag.String("framed-addr", "", "address for the multiplexed framed front door (empty = disabled)")
-		maxInFly   = flag.Int64("max-inflight", 1024, "with -framed-addr: weighted in-flight mutation budget before shedding")
-		retryAfter = flag.Duration("retry-after", 25*time.Millisecond, "with -framed-addr: backoff hint attached to shed requests")
+		maxInFly   = flag.Int64("max-inflight", 1024, "weighted in-flight mutation budget before shedding")
+		retryAfter = flag.Duration("retry-after", 25*time.Millisecond, "backoff hint attached to shed requests")
 		dataDir    = flag.String("data-dir", "", "directory for the durable disk-backed store (empty = in-memory)")
 		shards     = flag.Int("shards", cloud.DefaultShards, "shard count (fixed at first open for a durable store)")
 		adversary  = flag.String("adversary", "honest", "adversary mode: honest, curious, tampering, replaying, dropping, rollback, fork (wraps any backend)")
@@ -179,7 +182,7 @@ func main() {
 		statsEvery = flag.Duration("stats-every", time.Minute, "with -data-dir: interval for logging per-shard cache/bloom hit rates (0 disables)")
 	)
 	flag.Var(&members, "member", "address of a further fleet member to dial (repeatable or comma-separated); the local store is member 0")
-	flag.Var(&tenants, "tenant", "with -framed-addr: provision a tenant as name[:maxBytes[:opsPerSec]] (repeatable)")
+	flag.Var(&tenants, "tenant", "provision a tenant as name[:maxBytes[:opsPerSec]] (repeatable)")
 	flag.Parse()
 
 	cfg := cloud.AdversaryConfig{Seed: *seed}
@@ -247,7 +250,7 @@ func main() {
 	if len(members) > 0 {
 		// Members are wrapped in a Redialer rather than dialed once: a member
 		// that restarts gets a fresh connection on its next probe, so the
-		// hint drain can bring it back (a plain Client would pin the dead
+		// hint drain can bring it back (a plain FrameClient would pin the dead
 		// connection for the life of the coordinator). A member that is not
 		// up yet is fine too — it is marked down until its first probe lands.
 		fleet := []cloud.Service{svc}
@@ -272,6 +275,18 @@ func main() {
 		svc, replicated = r, r
 	}
 
+	// The front door: admission control around the backend, tenant
+	// namespaces on top, the multiplexed framed protocol in front.
+	adm := cloud.NewAdmission(svc, cloud.AdmissionOptions{
+		MaxInFlight: *maxInFly,
+		RetryAfter:  *retryAfter,
+	})
+	reg := cloud.NewTenants(adm)
+	for _, spec := range tenants {
+		if err := reg.Define(spec.name, spec.quota); err != nil {
+			log.Fatalf("tccloud: %v", err)
+		}
+	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("tccloud: listen: %v", err)
@@ -283,35 +298,12 @@ func main() {
 	if replicated != nil {
 		backend = "replicated/" + backend
 	}
-	log.Printf("tccloud: serving the untrusted infrastructure on %s (backend=%s adversary=%s)",
-		ln.Addr(), backend, cfg.Mode)
-	srv := cloud.NewServer(svc)
-
-	// The framed front door: admission control around the backend, tenant
-	// namespaces on top, the multiplexed protocol in front. The classic line
-	// listener keeps serving the raw backend for old clients.
-	var framedSrv *cloud.FrameServer
-	framedErr := make(chan error, 1)
-	if *framedAddr != "" {
-		adm := cloud.NewAdmission(svc, cloud.AdmissionOptions{
-			MaxInFlight: *maxInFly,
-			RetryAfter:  *retryAfter,
-		})
-		reg := cloud.NewTenants(adm)
-		for _, spec := range tenants {
-			if err := reg.Define(spec.name, spec.quota); err != nil {
-				log.Fatalf("tccloud: %v", err)
-			}
-		}
-		fln, err := net.Listen("tcp", *framedAddr)
-		if err != nil {
-			log.Fatalf("tccloud: listen framed: %v", err)
-		}
-		framedSrv = cloud.NewFrameServer(adm, cloud.FrameServerOptions{Tenants: reg})
-		go func() { framedErr <- framedSrv.Serve(fln) }()
-		log.Printf("tccloud: framed front door on %s (max-inflight=%d retry-after=%v tenants=%s)",
-			fln.Addr(), *maxInFly, *retryAfter, tenants.String())
-	}
+	log.Printf("tccloud: serving the untrusted infrastructure on %s (backend=%s adversary=%s max-inflight=%d retry-after=%v tenants=%s)",
+		ln.Addr(), backend, cfg.Mode, *maxInFly, *retryAfter, tenants.String())
+	// No frame cap beyond the 4-byte length: a vault, a batch or an
+	// anti-entropy fetch may be any size, and a large frame's body is
+	// buffered only as its bytes arrive.
+	srv := cloud.NewFrameServer(adm, cloud.FrameServerOptions{Tenants: reg, MaxFrameBytes: math.MaxInt})
 
 	// A durable store wants a graceful shutdown: checkpoint the memtables and
 	// retire the journal so the next start replays nothing. (A kill -9 is also
@@ -321,18 +313,10 @@ func main() {
 	go func() {
 		s := <-sig
 		log.Printf("tccloud: %v: shutting down", s)
-		if framedSrv != nil {
-			_ = framedSrv.Close()
-		}
 		_ = srv.Close() // closes the listener; Serve returns nil once drained
 	}()
 
 	err = srv.Serve(ln)
-	if framedSrv != nil {
-		if ferr := <-framedErr; ferr != nil && err == nil {
-			err = ferr
-		}
-	}
 	if replicated != nil {
 		// Stop the anti-entropy loop and give departing writes their last
 		// hint drain before the members close under us.

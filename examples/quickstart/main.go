@@ -11,9 +11,9 @@ import (
 )
 
 func main() {
-	// The untrusted infrastructure: here an in-process memory cloud; use
-	// trustedcells.DialCloud("host:port") against cmd/tccloud for a real
-	// network deployment.
+	// The untrusted infrastructure: here an in-process memory cloud; for a
+	// real network deployment, trustedcells.DialCloud("host:port") connects
+	// to a cmd/tccloud server over its framed, multiplexed protocol.
 	svc := trustedcells.NewMemoryCloud()
 
 	cell, err := trustedcells.NewCell(trustedcells.CellConfig{

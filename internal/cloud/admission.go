@@ -145,12 +145,11 @@ func (a *Admission) Receive(recipient string, max int) ([]Message, error) {
 func (a *Admission) Stats() Stats { return a.inner.Stats() }
 
 // PutBlobs implements BatchService with weight len(puts), so one huge batch
-// cannot slip under a budget that N singles would have tripped.
+// cannot slip under a budget that N singles would have tripped. The weight
+// is clamped to the whole budget: a batch larger than MaxInFlight is
+// admitted once nothing else is in flight, instead of being shed forever.
 func (a *Admission) PutBlobs(puts []BlobPut) ([]int, error) {
-	w := int64(len(puts))
-	if w == 0 {
-		w = 1
-	}
+	w := min(max(int64(len(puts)), 1), a.maxInFly)
 	if err := a.acquire(w); err != nil {
 		return nil, err
 	}

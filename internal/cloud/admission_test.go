@@ -80,17 +80,36 @@ func TestAdmissionShedsAtSaturation(t *testing.T) {
 	}
 }
 
-// TestAdmissionBatchWeight checks that a batch charges its length: a batch
-// bigger than the whole budget is shed outright, and two half-budget
-// batches cannot both be in flight.
+// TestAdmissionBatchWeight checks that a batch charges its length, clamped
+// to the whole budget: a batch bigger than the budget is shed while any
+// other mutation is in flight and admitted, at the full budget's weight,
+// once nothing is.
 func TestAdmissionBatchWeight(t *testing.T) {
-	adm := NewAdmission(NewMemory(), AdmissionOptions{MaxInFlight: 8})
+	blocker := &blockingService{
+		Service: NewMemory(),
+		release: make(chan struct{}),
+		entered: make(chan string, 32), // the batches below pass through too
+	}
+	adm := NewAdmission(blocker, AdmissionOptions{MaxInFlight: 8})
 	big := make([]BlobPut, 9)
 	for i := range big {
 		big[i] = BlobPut{Name: "n", Data: []byte("x")}
 	}
+	held := make(chan error, 1)
+	go func() {
+		_, err := adm.PutBlob("held", []byte("x"))
+		held <- err
+	}()
+	<-blocker.entered
 	if _, err := adm.PutBlobs(big); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("over-budget batch: %v", err)
+		t.Fatalf("over-budget batch beside an in-flight put: %v", err)
+	}
+	close(blocker.release)
+	if err := <-held; err != nil {
+		t.Fatalf("held put: %v", err)
+	}
+	if _, err := adm.PutBlobs(big); err != nil {
+		t.Fatalf("over-budget batch with nothing in flight: %v", err)
 	}
 	ok := make([]BlobPut, 8)
 	for i := range ok {
@@ -100,7 +119,7 @@ func TestAdmissionBatchWeight(t *testing.T) {
 		t.Fatalf("exact-budget batch: %v", err)
 	}
 	st := adm.AdmissionStats()
-	if st.Admitted != 8 || st.Shed != 9 {
+	if st.Admitted != 1+8+8 || st.Shed != 8 || st.InFlight != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

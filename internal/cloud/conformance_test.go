@@ -17,7 +17,9 @@ import (
 //
 //   - durable gets a small shard count so the per-shard paths (and the
 //     META.json shard pinning) are exercised without 32 directories per test;
-//   - tcp serves a Memory over a real loopback socket;
+//   - tcp is what tccloud -addr serves to a client that sends no hello:
+//     a FrameServer with no frame cap over a tenant registry and admission
+//     control over a Memory, on a real loopback socket;
 //   - replicated stripes a mixed fleet (RAM, disk, RAM) at W=2/R=2;
 //   - replicated-faulty additionally wraps one member in cloud.Faulty at a
 //     nonzero error rate — the battery must pass identically, because the
@@ -44,19 +46,8 @@ func serviceBackends(t *testing.T) map[string]func(t *testing.T) Service {
 			return d
 		},
 		"tcp": func(t *testing.T) Service {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatalf("listen: %v", err)
-			}
-			srv := NewServer(NewMemory())
-			go func() { _ = srv.Serve(ln) }()
-			t.Cleanup(func() { _ = srv.Close() })
-			client, err := Dial(ln.Addr().String())
-			if err != nil {
-				t.Fatalf("dial: %v", err)
-			}
-			t.Cleanup(func() { _ = client.Close() })
-			return client
+			svc, opts := tccloudStack(NewMemory())
+			return dialTestFrameServer(t, svc, opts, "")
 		},
 		"replicated": func(t *testing.T) Service {
 			d, err := OpenDurable(t.TempDir(), DurableOptions{Shards: 2})

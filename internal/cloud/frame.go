@@ -1,24 +1,19 @@
 package cloud
 
-// This file replaces the one-op-per-round-trip JSON line protocol (tcp.go)
-// with a connection-multiplexed framed protocol for the fleet-scale front
-// door. The line protocol serializes a connection: the server handles
-// requests one at a time and responses come back in order, so a slow
-// operation stalls everything queued behind it and a client needs one
-// connection per concurrent request. The framed protocol instead tags every
-// request with an id and lets responses return in completion order, so one
-// TCP connection carries any number of concurrent operations — which is
-// what lets tens of thousands of simulated cells share a handful of
-// sockets in experiment E14.
+// This file is the wire protocol between cells and the untrusted
+// infrastructure: a connection-multiplexed framed protocol. Every request is
+// tagged with an id and responses return in completion order, so one TCP
+// connection carries any number of concurrent operations, a slow operation
+// never stalls the ones queued behind it, and tens of thousands of
+// simulated cells share a handful of sockets in experiment E14.
 //
 // Frame layout (DESIGN.md §11.2):
 //
 //	[4B big-endian length][8B big-endian request id][payload]
 //
 // where length counts the id plus the payload (so length >= 8), and the
-// payload is the same JSON rpcRequest/rpcResponse codec the line protocol
-// speaks — multiplexing buys concurrency, not a new codec, and dispatch()
-// is shared verbatim. Request ids are chosen by the client, must be unique
+// payload is the JSON rpcRequest/rpcResponse codec of tcp.go, executed by
+// dispatch(). Request ids are chosen by the client, must be unique
 // among its in-flight requests, and are echoed on the response; nothing
 // else is read into them. A frame whose declared length exceeds the
 // server's MaxFrameBytes is answered with a typed error frame and the
@@ -28,15 +23,17 @@ package cloud
 //
 // An optional first frame with Op "hello" and Name <tenant> binds the
 // connection to that tenant's namespaced view (see Tenants). Connections
-// that skip the hello talk to the server's default backend, which keeps
-// old clients working against a multi-tenant server.
+// that skip the hello — cells, and a replicated coordinator's members —
+// talk to the server's default backend.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -51,11 +48,21 @@ const DefaultMaxFrameBytes = 16 << 20
 // frameHeaderSize is the fixed prefix: 4 bytes length + 8 bytes request id.
 const frameHeaderSize = 12
 
+// maxFramePayload is the largest payload the 4-byte length can declare.
+const maxFramePayload = 1<<32 - 1 - 8
+
+// eagerFrameBytes is the largest frame body readFrame allocates up front
+// from the declared length. A larger body grows as its bytes arrive, so a
+// peer that declares a huge frame costs memory only for what it sends.
+const eagerFrameBytes = 1 << 20
+
 // opHello is the reserved op binding a connection to a tenant.
 const opHello = "hello"
 
 // errFrameTooLarge is the wire message sent before closing a connection
-// that declared an oversized frame.
+// that declared an oversized frame. It also answers a request whose
+// response the frame format cannot carry, and refuses locally a request it
+// cannot carry.
 const errFrameTooLarge = "cloud: frame exceeds size limit"
 
 // writeFrame writes one length-prefixed frame. Callers serialize access to w.
@@ -96,6 +103,13 @@ func readFrame(r io.Reader, maxBytes int) (id uint64, payload []byte, err error)
 		return 0, nil, err
 	}
 	id = binary.BigEndian.Uint64(hdr[4:12])
+	if length-8 > eagerFrameBytes {
+		var buf bytes.Buffer
+		if _, err := io.CopyN(&buf, r, int64(length-8)); err != nil {
+			return 0, nil, err
+		}
+		return id, buf.Bytes(), nil
+	}
 	payload = make([]byte, length-8)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
@@ -195,6 +209,8 @@ func (fc *frameConn) respond(id uint64, resp rpcResponse) error {
 	payload, err := json.Marshal(&resp)
 	if err != nil {
 		payload, _ = json.Marshal(&rpcResponse{Err: "cloud: response encoding failed"})
+	} else if int64(len(payload)) > maxFramePayload {
+		payload, _ = json.Marshal(&rpcResponse{Err: errFrameTooLarge})
 	}
 	fc.writeMu.Lock()
 	defer fc.writeMu.Unlock()
@@ -257,14 +273,20 @@ func (s *FrameServer) bindTenant(name string) (Service, error) {
 	return s.opts.Tenants.View(name)
 }
 
+// errTransport marks every failure of a FrameClient's own connection — dial,
+// send, receive, or a call after the connection died — as opposed to an
+// error the remote service returned, which crosses the wire as text and can
+// never match it. Redialer drops its connection on exactly these.
+var errTransport = errors.New("cloud: transport")
+
 // FrameClient is a Service over one multiplexed framed connection. Any
 // number of goroutines may issue calls concurrently; each call is tagged
 // with a fresh id, and a single demux goroutine routes response frames back
 // by id, so calls complete in the server's completion order without
 // head-of-line blocking. Implements BatchService and
 // ConditionalBatchService. When the connection dies, every in-flight and
-// subsequent call fails with the transport error; the client does not
-// redial.
+// subsequent call fails with the transport error (errTransport); the client
+// does not redial — wrap it in a Redialer for that.
 type FrameClient struct {
 	conn    net.Conn
 	writeMu sync.Mutex
@@ -279,7 +301,7 @@ type FrameClient struct {
 func DialFramed(addr string) (*FrameClient, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("cloud: dial framed: %w", err)
+		return nil, fmt.Errorf("%w: %w", errTransport, err)
 	}
 	c := &FrameClient{conn: conn, pending: make(map[uint64]chan rpcResponse)}
 	go c.readLoop()
@@ -302,16 +324,18 @@ func (c *FrameClient) Close() error { return c.conn.Close() }
 
 // readLoop is the demux goroutine: it routes each response frame to the
 // waiting call by id and, on transport error, fails everything in flight.
+// Responses are capped only by the frame format: a full ListBlobs or a large
+// GetBlobs may outgrow any request cap.
 func (c *FrameClient) readLoop() {
 	for {
-		id, payload, err := readFrame(c.conn, DefaultMaxFrameBytes)
+		id, payload, err := readFrame(c.conn, math.MaxInt)
 		if err != nil {
-			c.fail(fmt.Errorf("cloud: framed receive: %w", err))
+			c.fail(fmt.Errorf("%w: receive: %w", errTransport, err))
 			return
 		}
 		var resp rpcResponse
 		if err := json.Unmarshal(payload, &resp); err != nil {
-			c.fail(fmt.Errorf("cloud: framed receive: %w", err))
+			c.fail(fmt.Errorf("%w: receive: %w", errTransport, err))
 			return
 		}
 		c.mu.Lock()
@@ -339,7 +363,10 @@ func (c *FrameClient) fail(err error) {
 func (c *FrameClient) call(req rpcRequest) (rpcResponse, error) {
 	payload, err := json.Marshal(&req)
 	if err != nil {
-		return rpcResponse{}, fmt.Errorf("cloud: framed send: %w", err)
+		return rpcResponse{}, fmt.Errorf("cloud: framed encode: %w", err)
+	}
+	if int64(len(payload)) > maxFramePayload {
+		return rpcResponse{}, errors.New(errFrameTooLarge)
 	}
 	id := c.nextID.Add(1)
 	ch := make(chan rpcResponse, 1)
@@ -359,7 +386,7 @@ func (c *FrameClient) call(req rpcRequest) (rpcResponse, error) {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		return rpcResponse{}, fmt.Errorf("cloud: framed send: %w", err)
+		return rpcResponse{}, fmt.Errorf("%w: send: %w", errTransport, err)
 	}
 
 	resp, ok := <-ch
@@ -368,7 +395,7 @@ func (c *FrameClient) call(req rpcRequest) (rpcResponse, error) {
 		err := c.err
 		c.mu.Unlock()
 		if err == nil {
-			err = errors.New("cloud: framed connection closed")
+			err = fmt.Errorf("%w: connection closed", errTransport)
 		}
 		return rpcResponse{}, err
 	}

@@ -1,11 +1,14 @@
 package cloud
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -289,6 +292,19 @@ func TestFrameTypedErrorsCrossWire(t *testing.T) {
 	if qe.Tenant != "tiny" || qe.Resource != "bytes" {
 		t.Fatalf("quota error lost fields: %+v", qe)
 	}
+
+	// A replicated backend's wrapped quorum failure keeps its type and its
+	// detail text.
+	quorumErr := fmt.Errorf("%w: 1 of 2 write acks", ErrQuorumFailed)
+	rc, err := DialFramed(startFrameServer(t, errService{Service: NewMemory(), err: quorumErr}, FrameServerOptions{}))
+	if err != nil {
+		t.Fatalf("dial replicated: %v", err)
+	}
+	defer rc.Close()
+	_, err = rc.PutBlob("x", []byte("y"))
+	if !errors.Is(err, ErrQuorumFailed) || err.Error() != quorumErr.Error() {
+		t.Fatalf("quorum error did not cross the wire typed: %v", err)
+	}
 }
 
 // TestFrameHelloUnknownTenant checks that a hello for an undefined tenant
@@ -326,3 +342,95 @@ func (s shedService) Receive(string, int) ([]Message, error) {
 	return nil, &OverloadError{RetryAfter: s.retry}
 }
 func (s shedService) Stats() Stats { return s.inner.Stats() }
+
+// TestFrameLargeBodyGrowsAsItArrives checks readFrame's path for bodies over
+// eagerFrameBytes: a complete large frame decodes intact, and a header that
+// declares 1 GiB but delivers a few bytes fails as torn without allocating
+// anything near the declared length.
+func TestFrameLargeBodyGrowsAsItArrives(t *testing.T) {
+	body := bytes.Repeat([]byte("sealed"), eagerFrameBytes/3)
+	var frame bytes.Buffer
+	if err := writeFrame(&frame, 9, body); err != nil {
+		t.Fatal(err)
+	}
+	id, payload, err := readFrame(&frame, math.MaxInt)
+	if err != nil || id != 9 || !bytes.Equal(payload, body) {
+		t.Fatalf("large frame: id %d, %d of %d bytes, %v", id, len(payload), len(body), err)
+	}
+
+	liar := make([]byte, frameHeaderSize+64)
+	binary.BigEndian.PutUint32(liar[:4], 1<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := readFrame(bytes.NewReader(liar), math.MaxInt); err == nil {
+		t.Fatal("a frame 1 GiB short of its declared length decoded")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("a 64-byte body declared as 1 GiB allocated %d bytes", grew)
+	}
+}
+
+// FuzzFrameDecode feeds arbitrary bytes through the decoder every client
+// faces: readFrame, then the JSON payload codec on both ends. Nothing may
+// panic; a declared length over the limit must fail with errTooLarge
+// without the body being read or allocated; lengths under the 8-byte id
+// are malformed.
+func FuzzFrameDecode(f *testing.F) {
+	const maxBytes = 4096
+	valid, err := json.Marshal(&rpcRequest{Op: "put", Name: "alice/doc", Data: []byte("sealed")})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var frame bytes.Buffer
+	if err := writeFrame(&frame, 7, valid); err != nil {
+		f.Fatal(err)
+	}
+	oversized := make([]byte, frameHeaderSize)
+	binary.BigEndian.PutUint32(oversized[:4], 1<<30)
+	f.Add(frame.Bytes())
+	f.Add(frame.Bytes()[:6]) // torn header
+	f.Add(oversized)
+	f.Add([]byte(`{"op":"put","name":"alice/doc","data":"c2VhbGVk"}` + "\n")) // a JSON line client
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		for {
+			start := r.Len()
+			id, payload, err := readFrame(r, maxBytes)
+			if start < 4 {
+				if err == nil {
+					t.Fatalf("frame decoded from a %d-byte header", start)
+				}
+				return
+			}
+			hdr := data[len(data)-start:]
+			length := binary.BigEndian.Uint32(hdr[:4])
+			switch {
+			case length < 8:
+				if err == nil || err == errTooLarge {
+					t.Fatalf("length %d accepted: err=%v", length, err)
+				}
+				return
+			case length > maxBytes:
+				if start >= frameHeaderSize && err != errTooLarge {
+					t.Fatalf("length %d over the %d limit: err=%v, want errTooLarge", length, maxBytes, err)
+				}
+				if payload != nil || r.Len() < start-frameHeaderSize {
+					t.Fatalf("oversized body read: %d payload bytes, %d of %d input bytes consumed", len(payload), start-r.Len(), start)
+				}
+				return
+			case err != nil:
+				return // torn frame
+			}
+			if len(payload) != int(length)-8 || id != binary.BigEndian.Uint64(hdr[4:12]) {
+				t.Fatalf("frame decoded as id %d with %d payload bytes from header %x", id, len(payload), hdr[:12])
+			}
+			var req rpcRequest
+			_ = json.Unmarshal(payload, &req)
+			var resp rpcResponse
+			if json.Unmarshal(payload, &resp) == nil {
+				_ = respError(resp)
+			}
+		}
+	})
+}

@@ -1,24 +1,25 @@
 package cloud
 
 import (
-	"strings"
+	"errors"
 	"sync"
 )
 
 // Redialer is a Service over a remote server that re-dials its address when
-// the underlying connection dies. A plain Client is pinned to one TCP
+// the underlying connection dies. A plain FrameClient is pinned to one TCP
 // connection, so a fleet member that restarts would stay unreachable for the
 // life of the coordinator; wrapped in a Redialer, the member's next probe
 // after it comes back up establishes a fresh connection and the hinted
 // handoff drain can bring it current (DESIGN.md §9.3). Remote semantic
-// errors (ErrBlobNotFound, ErrMailboxEmpty, ErrUnavailable, quorum errors)
-// pass through without touching the connection; only transport failures —
-// dial, send, receive — discard it.
+// errors (ErrBlobNotFound, ErrMailboxEmpty, ErrUnavailable, quorum errors,
+// whatever their text) pass through without touching the connection; only
+// the client's own transport failures — dial, send, receive — discard it.
+// Concurrent calls share the one multiplexed connection.
 type Redialer struct {
 	addr string
 
 	mu     sync.Mutex
-	client *Client
+	client *FrameClient
 }
 
 // NewRedialer returns a Redialer for addr. No connection is established
@@ -27,9 +28,6 @@ type Redialer struct {
 func NewRedialer(addr string) *Redialer {
 	return &Redialer{addr: addr}
 }
-
-// Addr returns the address the Redialer (re-)dials.
-func (r *Redialer) Addr() string { return r.addr }
 
 // Close closes the current connection, if any. The next call re-dials.
 func (r *Redialer) Close() error {
@@ -44,11 +42,11 @@ func (r *Redialer) Close() error {
 }
 
 // get returns the current client, dialing if necessary.
-func (r *Redialer) get() (*Client, error) {
+func (r *Redialer) get() (*FrameClient, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.client == nil {
-		c, err := Dial(r.addr)
+		c, err := DialFramed(r.addr)
 		if err != nil {
 			return nil, err
 		}
@@ -59,18 +57,11 @@ func (r *Redialer) get() (*Client, error) {
 
 // transportError reports whether err means the connection itself is broken
 // (as opposed to a semantic error relayed from the remote store).
-func transportError(err error) bool {
-	if err == nil || err == ErrBlobNotFound || err == ErrMailboxEmpty || err == ErrUnavailable {
-		return false
-	}
-	msg := err.Error()
-	return strings.Contains(msg, "cloud: dial") ||
-		strings.Contains(msg, "cloud: rpc")
-}
+func transportError(err error) bool { return errors.Is(err, errTransport) }
 
 // drop discards the connection so the next call re-dials, but only if it is
 // still the one that failed (a concurrent caller may have re-dialed already).
-func (r *Redialer) drop(c *Client) {
+func (r *Redialer) drop(c *FrameClient) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.client == c {
@@ -79,67 +70,54 @@ func (r *Redialer) drop(c *Client) {
 	}
 }
 
-// do runs fn against the current connection, discarding it on a transport
-// failure so the next call starts fresh. The failed call itself is not
-// retried: the caller is the replication layer, which already treats a
+// redo runs fn against the current connection, discarding it on a
+// transport failure so the next call starts fresh. The failed call itself is
+// not retried: the caller is the replication layer, which already treats a
 // member error as "hint and move on" — retrying here would double-apply
 // operations whose response was lost in flight.
-func (r *Redialer) do(fn func(c *Client) error) error {
+func redo[T any](r *Redialer, fn func(c *FrameClient) (T, error)) (T, error) {
 	c, err := r.get()
 	if err != nil {
-		return err
+		var zero T
+		return zero, err
 	}
-	err = fn(c)
+	v, err := fn(c)
 	if transportError(err) {
 		r.drop(c)
 	}
-	return err
+	return v, err
 }
 
 // PutBlob implements Service.
-func (r *Redialer) PutBlob(name string, data []byte) (version int, err error) {
-	err = r.do(func(c *Client) error {
-		version, err = c.PutBlob(name, data)
-		return err
-	})
-	return version, err
+func (r *Redialer) PutBlob(name string, data []byte) (int, error) {
+	return redo(r, func(c *FrameClient) (int, error) { return c.PutBlob(name, data) })
 }
 
 // GetBlob implements Service.
-func (r *Redialer) GetBlob(name string) (blob Blob, err error) {
-	err = r.do(func(c *Client) error {
-		blob, err = c.GetBlob(name)
-		return err
-	})
-	return blob, err
+func (r *Redialer) GetBlob(name string) (Blob, error) {
+	return redo(r, func(c *FrameClient) (Blob, error) { return c.GetBlob(name) })
 }
 
 // DeleteBlob implements Service.
 func (r *Redialer) DeleteBlob(name string) error {
-	return r.do(func(c *Client) error { return c.DeleteBlob(name) })
+	_, err := redo(r, func(c *FrameClient) (struct{}, error) { return struct{}{}, c.DeleteBlob(name) })
+	return err
 }
 
 // ListBlobs implements Service.
-func (r *Redialer) ListBlobs(prefix string) (names []string, err error) {
-	err = r.do(func(c *Client) error {
-		names, err = c.ListBlobs(prefix)
-		return err
-	})
-	return names, err
+func (r *Redialer) ListBlobs(prefix string) ([]string, error) {
+	return redo(r, func(c *FrameClient) ([]string, error) { return c.ListBlobs(prefix) })
 }
 
 // Send implements Service.
 func (r *Redialer) Send(msg Message) error {
-	return r.do(func(c *Client) error { return c.Send(msg) })
+	_, err := redo(r, func(c *FrameClient) (struct{}, error) { return struct{}{}, c.Send(msg) })
+	return err
 }
 
 // Receive implements Service.
-func (r *Redialer) Receive(recipient string, max int) (msgs []Message, err error) {
-	err = r.do(func(c *Client) error {
-		msgs, err = c.Receive(recipient, max)
-		return err
-	})
-	return msgs, err
+func (r *Redialer) Receive(recipient string, max int) ([]Message, error) {
+	return redo(r, func(c *FrameClient) ([]Message, error) { return c.Receive(recipient, max) })
 }
 
 // Stats implements Service.
@@ -152,30 +130,18 @@ func (r *Redialer) Stats() Stats {
 }
 
 // PutBlobs implements BatchService.
-func (r *Redialer) PutBlobs(puts []BlobPut) (versions []int, err error) {
-	err = r.do(func(c *Client) error {
-		versions, err = c.PutBlobs(puts)
-		return err
-	})
-	return versions, err
+func (r *Redialer) PutBlobs(puts []BlobPut) ([]int, error) {
+	return redo(r, func(c *FrameClient) ([]int, error) { return c.PutBlobs(puts) })
 }
 
 // GetBlobs implements BatchService.
-func (r *Redialer) GetBlobs(names []string) (blobs []Blob, err error) {
-	err = r.do(func(c *Client) error {
-		blobs, err = c.GetBlobs(names)
-		return err
-	})
-	return blobs, err
+func (r *Redialer) GetBlobs(names []string) ([]Blob, error) {
+	return redo(r, func(c *FrameClient) ([]Blob, error) { return c.GetBlobs(names) })
 }
 
 // GetBlobsIf implements ConditionalBatchService.
-func (r *Redialer) GetBlobsIf(gets []CondGet) (blobs []Blob, err error) {
-	err = r.do(func(c *Client) error {
-		blobs, err = c.GetBlobsIf(gets)
-		return err
-	})
-	return blobs, err
+func (r *Redialer) GetBlobsIf(gets []CondGet) ([]Blob, error) {
+	return redo(r, func(c *FrameClient) ([]Blob, error) { return c.GetBlobsIf(gets) })
 }
 
 // String names the wrapper for logs.

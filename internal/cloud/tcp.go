@@ -1,20 +1,17 @@
 package cloud
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"strings"
-	"sync"
 	"time"
 )
 
-// This file exposes a Service over TCP with a small JSON line protocol, so a
-// cell binary (cmd/tccell) can talk to a cloud binary (cmd/tccloud) exactly
-// as Figure 1 sketches. Each request is one JSON object on a line; each
-// response is one JSON object on a line.
+// This file holds the payload half of the wire protocol: the JSON request and
+// response a frame carries (frame.go), the server-side dispatch of a request
+// onto a Service, and the client-side reconstruction of typed errors. A cell
+// binary (cmd/tccell) talks to a cloud binary (cmd/tccloud) over it exactly
+// as Figure 1 sketches.
 
 // rpcRequest is the wire format of a request.
 type rpcRequest struct {
@@ -45,75 +42,7 @@ type rpcResponse struct {
 	Blobs        []Blob    `json:"blobs,omitempty"`
 }
 
-// Server serves a Service over a listener.
-type Server struct {
-	svc Service
-	ln  net.Listener
-	wg  sync.WaitGroup
-
-	mu     sync.Mutex
-	closed bool
-}
-
-// NewServer wraps svc; call Serve to start accepting connections.
-func NewServer(svc Service) *Server { return &Server{svc: svc} }
-
-// Serve accepts connections on ln until Close is called. It returns after the
-// listener is closed.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				s.wg.Wait()
-				return nil
-			}
-			return fmt.Errorf("cloud: accept: %w", err)
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
-		}()
-	}
-}
-
-// Close stops the server.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	if s.ln != nil {
-		return s.ln.Close()
-	}
-	return nil
-}
-
-func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
-	dec := json.NewDecoder(bufio.NewReader(conn))
-	enc := json.NewEncoder(conn)
-	for {
-		var req rpcRequest
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		resp := dispatch(s.svc, req)
-		if err := enc.Encode(&resp); err != nil {
-			return
-		}
-	}
-}
-
-// dispatch executes one wire request against svc. It is shared by the JSON
-// line Server and the framed FrameServer, which speak the same request and
-// response payloads and differ only in framing and concurrency.
+// dispatch executes one wire request against svc.
 func dispatch(svc Service, req rpcRequest) rpcResponse {
 	var resp rpcResponse
 	var err error
@@ -175,46 +104,10 @@ func applyRespError(resp *rpcResponse, err error) {
 	}
 }
 
-// Client is a Service implementation that talks to a remote Server.
-type Client struct {
-	mu   sync.Mutex
-	conn net.Conn
-	dec  *json.Decoder
-	enc  *json.Encoder
-}
-
-// Dial connects to a cloud server at addr.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("cloud: dial: %w", err)
-	}
-	return &Client{
-		conn: conn,
-		dec:  json.NewDecoder(bufio.NewReader(conn)),
-		enc:  json.NewEncoder(conn),
-	}, nil
-}
-
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
-
-func (c *Client) call(req rpcRequest) (rpcResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.enc.Encode(&req); err != nil {
-		return rpcResponse{}, fmt.Errorf("cloud: rpc send: %w", err)
-	}
-	var resp rpcResponse
-	if err := c.dec.Decode(&resp); err != nil {
-		return rpcResponse{}, fmt.Errorf("cloud: rpc receive: %w", err)
-	}
-	return resp, nil
-}
-
 // respError turns a wire response back into the error the server-side
-// Service returned, reconstructing the typed sentinels and the retry-after
-// carrying OverloadError/QuotaError so errors.Is/As work across the wire.
+// Service returned, reconstructing the typed sentinels, a wrapped
+// ErrQuorumFailed (detail text kept) and the retry-after carrying
+// OverloadError/QuotaError so errors.Is/As work across the wire.
 func respError(resp rpcResponse) error {
 	switch resp.Err {
 	case "":
@@ -226,6 +119,9 @@ func respError(resp rpcResponse) error {
 	case ErrMailboxEmpty.Error():
 		return ErrMailboxEmpty
 	}
+	if detail, ok := strings.CutPrefix(resp.Err, ErrQuorumFailed.Error()); ok {
+		return fmt.Errorf("%w%s", ErrQuorumFailed, detail)
+	}
 	retry := time.Duration(resp.RetryAfterMs) * time.Millisecond
 	if strings.HasPrefix(resp.Err, "cloud: overloaded") {
 		return &OverloadError{RetryAfter: retry}
@@ -235,124 +131,4 @@ func respError(resp rpcResponse) error {
 		return &QuotaError{Tenant: tenant, Resource: resource, RetryAfter: retry}
 	}
 	return errors.New(resp.Err)
-}
-
-// PutBlob implements Service.
-func (c *Client) PutBlob(name string, data []byte) (int, error) {
-	resp, err := c.call(rpcRequest{Op: "put", Name: name, Data: data})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Version, respError(resp)
-}
-
-// GetBlob implements Service.
-func (c *Client) GetBlob(name string) (Blob, error) {
-	resp, err := c.call(rpcRequest{Op: "get", Name: name})
-	if err != nil {
-		return Blob{}, err
-	}
-	if err := respError(resp); err != nil {
-		return Blob{}, err
-	}
-	if resp.Blob == nil {
-		return Blob{}, ErrBlobNotFound
-	}
-	return *resp.Blob, nil
-}
-
-// DeleteBlob implements Service.
-func (c *Client) DeleteBlob(name string) error {
-	resp, err := c.call(rpcRequest{Op: "delete", Name: name})
-	if err != nil {
-		return err
-	}
-	return respError(resp)
-}
-
-// ListBlobs implements Service.
-func (c *Client) ListBlobs(prefix string) ([]string, error) {
-	resp, err := c.call(rpcRequest{Op: "list", Prefix: prefix})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Names, respError(resp)
-}
-
-// PutBlobs implements BatchService over the wire: the whole batch is one
-// request/response exchange.
-func (c *Client) PutBlobs(puts []BlobPut) ([]int, error) {
-	resp, err := c.call(rpcRequest{Op: "putb", Puts: puts})
-	if err != nil {
-		return nil, err
-	}
-	if err := respError(resp); err != nil {
-		return nil, err
-	}
-	// The provider is untrusted: never hand positional callers a slice whose
-	// length the server chose.
-	if len(resp.Versions) != len(puts) {
-		return nil, fmt.Errorf("cloud: batch put: server returned %d versions for %d blobs", len(resp.Versions), len(puts))
-	}
-	return resp.Versions, nil
-}
-
-// GetBlobs implements BatchService over the wire in one exchange. Missing
-// blobs yield a zero Blob at their position.
-func (c *Client) GetBlobs(names []string) ([]Blob, error) {
-	resp, err := c.call(rpcRequest{Op: "getb", Names: names})
-	if err != nil {
-		return nil, err
-	}
-	if err := respError(resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Blobs) != len(names) {
-		return nil, fmt.Errorf("cloud: batch get: server returned %d blobs for %d names", len(resp.Blobs), len(names))
-	}
-	return resp.Blobs, nil
-}
-
-// GetBlobsIf implements ConditionalBatchService over the wire: the whole
-// conditional batch is one request/response exchange, and the server only
-// ships data for the blobs that advanced past the requested versions.
-func (c *Client) GetBlobsIf(gets []CondGet) ([]Blob, error) {
-	resp, err := c.call(rpcRequest{Op: "getc", Gets: gets})
-	if err != nil {
-		return nil, err
-	}
-	if err := respError(resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Blobs) != len(gets) {
-		return nil, fmt.Errorf("cloud: conditional batch get: server returned %d blobs for %d requests", len(resp.Blobs), len(gets))
-	}
-	return resp.Blobs, nil
-}
-
-// Send implements Service.
-func (c *Client) Send(msg Message) error {
-	resp, err := c.call(rpcRequest{Op: "send", Message: msg})
-	if err != nil {
-		return err
-	}
-	return respError(resp)
-}
-
-// Receive implements Service.
-func (c *Client) Receive(recipient string, max int) ([]Message, error) {
-	resp, err := c.call(rpcRequest{Op: "receive", Recipient: recipient, Max: max})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Messages, respError(resp)
-}
-
-// Stats implements Service.
-func (c *Client) Stats() Stats {
-	resp, err := c.call(rpcRequest{Op: "stats"})
-	if err != nil || resp.Stats == nil {
-		return Stats{}
-	}
-	return *resp.Stats
 }

@@ -2,35 +2,18 @@ package cloud
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net"
+	"sort"
 	"testing"
 )
 
-// startServer starts a TCP cloud server on a random port and returns a
-// connected client plus a cleanup function.
-func startServer(t *testing.T, svc Service) *Client {
+// startServer serves svc on a loopback FrameServer and returns a connected
+// client; both are torn down with the test.
+func startServer(t *testing.T, svc Service) *FrameClient {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	srv := NewServer(svc)
-	done := make(chan struct{})
-	go func() {
-		_ = srv.Serve(ln)
-		close(done)
-	}()
-	client, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	t.Cleanup(func() {
-		client.Close()
-		srv.Close()
-		<-done
-	})
-	return client
+	return dialTestFrameServer(t, svc, FrameServerOptions{}, "")
 }
 
 func TestTCPBlobRoundTrip(t *testing.T) {
@@ -81,7 +64,7 @@ func TestTCPMultipleClients(t *testing.T) {
 	mem := NewMemory()
 	clientA := startServer(t, mem)
 	// Second client to the same server (its own connection).
-	clientB, err := Dial(clientA.conn.RemoteAddr().String())
+	clientB, err := DialFramed(clientA.conn.RemoteAddr().String())
 	if err != nil {
 		t.Fatalf("second dial: %v", err)
 	}
@@ -132,6 +115,30 @@ func TestTCPBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTCPBatchOverAdmissionBudget sends one PutBlobs heavier than the whole
+// admission budget through the stack tccloud -addr serves. With nothing else
+// in flight it must be admitted, not shed on every attempt, and release its
+// weight afterwards.
+func TestTCPBatchOverAdmissionBudget(t *testing.T) {
+	svc, opts := tccloudStack(NewMemory())
+	client := dialTestFrameServer(t, svc, opts, "")
+	adm := svc.(*Admission)
+	puts := make([]BlobPut, adm.maxInFly+1)
+	for i := range puts {
+		puts[i] = BlobPut{Name: fmt.Sprintf("ingest/%04d", i), Data: []byte{byte(i)}}
+	}
+	versions, err := client.PutBlobs(puts)
+	if err != nil {
+		t.Fatalf("batch of %d puts over a budget of %d: %v", len(puts), adm.maxInFly, err)
+	}
+	if len(versions) != len(puts) {
+		t.Fatalf("got %d versions for %d puts", len(versions), len(puts))
+	}
+	if st := adm.AdmissionStats(); st.Shed != 0 || st.InFlight != 0 {
+		t.Fatalf("admission after an oversized batch: %+v", st)
+	}
+}
+
 func TestTCPConditionalBatchGet(t *testing.T) {
 	mem := NewMemory()
 	client := startServer(t, mem)
@@ -161,24 +168,48 @@ func TestTCPConditionalBatchGet(t *testing.T) {
 func TestTCPPipelining(t *testing.T) {
 	mem := NewMemory()
 	client := startServer(t, mem)
+	conn, err := net.Dial("tcp", client.conn.RemoteAddr().String())
+	if err != nil {
+		t.Fatalf("dial raw: %v", err)
+	}
+	defer conn.Close()
 
-	// Write the whole request train before reading any response: the server
-	// handles a connection sequentially, so the answers come back in request
-	// order.
-	for i := 0; i < 10; i++ {
-		req := rpcRequest{Op: "put", Name: fmt.Sprintf("p-%02d", i%5), Data: []byte("x")}
-		if err := client.enc.Encode(&req); err != nil {
+	// Write the whole request train before reading any response. Responses
+	// come back tagged with their request id, in completion order.
+	const n = 10
+	for i := 0; i < n; i++ {
+		payload, err := json.Marshal(&rpcRequest{Op: "put", Name: fmt.Sprintf("p-%02d", i%5), Data: []byte("x")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrame(conn, uint64(i+1), payload); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
-	for i := 0; i < 10; i++ {
-		var r rpcResponse
-		if err := client.dec.Decode(&r); err != nil {
+	versions := make(map[string][]int)
+	seen := make(map[uint64]bool)
+	for i := 0; i < n; i++ {
+		id, payload, err := readFrame(conn, DefaultMaxFrameBytes)
+		if err != nil {
 			t.Fatalf("receive %d: %v", i, err)
 		}
-		// The second put of each name answers version 2.
-		if r.Err != "" || r.Version != 1+i/5 {
-			t.Fatalf("pipelined response %d: %+v", i, r)
+		var r rpcResponse
+		if err := json.Unmarshal(payload, &r); err != nil {
+			t.Fatalf("decode %d: %v", i, err)
+		}
+		if id < 1 || id > n || seen[id] || r.Err != "" {
+			t.Fatalf("pipelined response %d: id %d %+v", i, id, r)
+		}
+		seen[id] = true
+		name := fmt.Sprintf("p-%02d", (id-1)%5)
+		versions[name] = append(versions[name], r.Version)
+	}
+	// The two puts of each name may commit in either order, but they answer
+	// versions 1 and 2 between them.
+	for name, vs := range versions {
+		sort.Ints(vs)
+		if fmt.Sprint(vs) != "[1 2]" {
+			t.Fatalf("pipelined puts of %s answered versions %v", name, vs)
 		}
 	}
 	names, _ := mem.ListBlobs("p-")
@@ -194,7 +225,11 @@ func TestTCPUnknownOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Err == "" {
-		t.Fatal("unknown op did not return an error")
+	if want := `cloud: unknown op "bogus"`; resp.Err != want {
+		t.Fatalf("unknown op answered %q, want %q", resp.Err, want)
+	}
+	// The connection survives the rejection.
+	if _, err := client.PutBlob("after", []byte("x")); err != nil {
+		t.Fatalf("put after unknown op: %v", err)
 	}
 }

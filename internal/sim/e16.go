@@ -40,9 +40,6 @@ type E16Config struct {
 	// Deadline is the healthy-run response window (generous: the gather
 	// exits early once every cell answered).
 	Deadline time.Duration
-	// DrillDeadline is the response window of the straggler and adversary
-	// drills, which must actually expire.
-	DrillDeadline time.Duration
 	// DeadFraction is the share of the fleet that never polls its mailbox
 	// in the straggler drill.
 	DeadFraction float64
@@ -63,7 +60,6 @@ func DefaultE16Config() E16Config {
 		Epsilon:         1.0,
 		MaxContribution: 100_000,
 		Deadline:        60 * time.Second,
-		DrillDeadline:   300 * time.Millisecond,
 		DeadFraction:    0.10,
 		DropRate:        0.25,
 		Seed:            16,
@@ -85,8 +81,51 @@ type e16Run struct {
 	GatherMS  float64
 }
 
+// The straggler drill's window on drillClock expires on the ninth empty
+// coordinator poll; the tick's length sets only the committee's retry
+// cadence (window/8, clamped to 20–100 ms), which it makes one tick.
+const (
+	drillTick   = 25 * time.Millisecond
+	drillWindow = 8 * drillTick
+)
+
+// drillClock is the straggler drill's logical clock, wrapped around the
+// coordinator's provider. Time stands still while the coordinator's mailbox
+// polls return messages and advances one drillTick per poll that comes back
+// empty. The respond phase joins before the gather starts, so the response
+// deadline expires only after every live responder has posted and the
+// gather has drained what they posted — on any machine, however loaded.
+// Committee retries and deadlines run on the same ticks.
+type drillClock struct {
+	cloud.Service
+
+	mu  sync.Mutex
+	now time.Time
+}
+
+// Now is the coordinator's clock.
+func (c *drillClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+// Receive polls the provider and advances the clock by one tick when the
+// poll comes back empty.
+func (c *drillClock) Receive(recipient string, max int) ([]cloud.Message, error) {
+	msgs, err := c.Service.Receive(recipient, max)
+	if err == nil && len(msgs) == 0 {
+		c.mu.Lock()
+		c.now = c.now.Add(drillTick)
+		c.mu.Unlock()
+	}
+	return msgs, err
+}
+
 // e16Query runs one full scatter/respond/gather cycle over n responders on
-// svc. alive(i) selects which cells poll their mailbox; nil means all.
+// svc. alive(i) selects which cells poll their mailbox; nil means all. With
+// dead cells the deadline must fire, so the coordinator then runs on a
+// drillClock instead of the wall clock.
 func e16Query(cfg E16Config, svc cloud.Service, n int, queryID string, deadline time.Duration, alive func(int) bool) (*e16Run, error) {
 	comm := commons.NewCommunity("e16", crypto.DeriveKey(crypto.SymmetricKey{16}, "commons", "e16"))
 	responders := make([]*commons.Responder, n)
@@ -103,13 +142,18 @@ func e16Query(cfg E16Config, svc cloud.Service, n int, queryID string, deadline 
 		aggIDs[i] = fmt.Sprintf("agg-%d", i)
 		aggs[i] = commons.NewAggregator(aggIDs[i], comm, svc)
 	}
-	co, err := commons.NewCoordinator(commons.CoordinatorConfig{
+	coCfg := commons.CoordinatorConfig{
 		ID:        "census",
 		Community: comm,
 		Cloud:     svc,
 		Rand:      rand.New(rand.NewSource(cfg.Seed)),
 		Workers:   cfg.Workers,
-	})
+	}
+	if alive != nil {
+		clock := &drillClock{Service: svc, now: time.Unix(0, 0)}
+		coCfg.Cloud, coCfg.Clock = clock, clock.Now
+	}
+	co, err := commons.NewCoordinator(coCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -264,7 +308,7 @@ func RunE16(cfg E16Config) (*Table, error) {
 	// deadline fires, and the release must still clear k with honest
 	// accounting.
 	deadEvery := int(1 / cfg.DeadFraction)
-	drill, err := e16Query(cfg, cloud.NewMemory(), headline, "census-straggler", cfg.DrillDeadline,
+	drill, err := e16Query(cfg, cloud.NewMemory(), headline, "census-straggler", drillWindow,
 		func(i int) bool { return i%deadEvery != deadEvery-1 })
 	if err != nil {
 		return nil, fmt.Errorf("straggler drill: %w", err)

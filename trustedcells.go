@@ -276,21 +276,18 @@ func OpenDurableCloud(dir string, opts DurableCloudOptions) (*DurableCloud, erro
 	return cloud.OpenDurable(dir, opts)
 }
 
-// DialCloud connects to a tccloud server over TCP and returns a CloudService.
-func DialCloud(addr string) (CloudService, error) { return cloud.Dial(addr) }
-
-// FramedCloudClient is the connection-multiplexed cloud client: one TCP
-// connection carries any number of concurrent requests as length-prefixed,
+// CloudClient is the cloud client: one TCP connection to a tccloud server
+// carries any number of concurrent requests as length-prefixed,
 // request-id-tagged frames, so batch operations cost one round-trip instead
 // of one per blob. It implements the full CloudService, batch and
 // conditional-fetch contracts and is safe for concurrent use by any number
-// of goroutines (see DialFramedCloud and DESIGN.md §11.2).
-type FramedCloudClient = cloud.FrameClient
+// of goroutines (see DialCloud and DESIGN.md §11.2).
+type CloudClient = cloud.FrameClient
 
-// DialFramedCloud connects to a tccloud framed listener (its -framed-addr)
-// and returns the multiplexed client. Call Hello on the client to bind the
-// connection to a tenant namespace when the server defines tenants.
-func DialFramedCloud(addr string) (*FramedCloudClient, error) { return cloud.DialFramed(addr) }
+// DialCloud connects to a tccloud server over TCP. Call Hello on the client
+// to bind the connection to a tenant namespace when the server defines
+// tenants; without it the connection talks to the server's backend.
+func DialCloud(addr string) (*CloudClient, error) { return cloud.DialFramed(addr) }
 
 // CloudTenants is a multi-tenant front door over any cloud provider:
 // per-tenant namespaces (isolated blob and mailbox name spaces) with
@@ -311,8 +308,8 @@ type TenantCloudView = cloud.TenantView
 type TenantUsage = cloud.TenantUsage
 
 // NewCloudTenants wraps inner with a tenant registry; define tenants with
-// Define, then hand each tenant its View (or bind framed connections with
-// FramedCloudClient.Hello).
+// Define, then hand each tenant its View (or bind client connections with
+// CloudClient.Hello).
 func NewCloudTenants(inner CloudService) *CloudTenants { return cloud.NewTenants(inner) }
 
 // CloudAdmission is the front door's overload valve: a weighted in-flight
