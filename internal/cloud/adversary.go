@@ -435,18 +435,32 @@ func (a *Adversary) Receive(recipient string, max int) ([]Message, error) {
 	return a.inner.Receive(recipient, max)
 }
 
-// Stats implements Service: the backend's counters plus the adversarial
-// actions this wrapper performed.
-func (a *Adversary) Stats() Stats {
-	st := a.inner.Stats()
-	st.TamperedBlobs += a.tampered.Load()
-	st.ReplayedBlobs += a.replayed.Load()
-	st.DroppedBlobs += a.droppedBlobs.Load()
-	st.DroppedMessages += a.droppedMsgs.Load()
-	st.ObservedBlobs += a.observed.Load()
-	st.RolledBackBlobs += a.rolledBack.Load()
-	st.ForkedBlobs += a.forked.Load()
-	return st
+// Stats implements Service with the backend's counters.
+func (a *Adversary) Stats() Stats { return a.inner.Stats() }
+
+// AdversaryStats counts the adversarial actions an Adversary performed.
+// Experiments use them to report detection rates.
+type AdversaryStats struct {
+	TamperedBlobs   int64
+	ReplayedBlobs   int64
+	DroppedBlobs    int64
+	DroppedMessages int64
+	ObservedBlobs   int64
+	RolledBackBlobs int64
+	ForkedBlobs     int64
+}
+
+// AdversaryStats returns the adversarial actions this wrapper performed.
+func (a *Adversary) AdversaryStats() AdversaryStats {
+	return AdversaryStats{
+		TamperedBlobs:   a.tampered.Load(),
+		ReplayedBlobs:   a.replayed.Load(),
+		DroppedBlobs:    a.droppedBlobs.Load(),
+		DroppedMessages: a.droppedMsgs.Load(),
+		ObservedBlobs:   a.observed.Load(),
+		RolledBackBlobs: a.rolledBack.Load(),
+		ForkedBlobs:     a.forked.Load(),
+	}
 }
 
 // Observations returns what an honest-but-curious provider captured. The

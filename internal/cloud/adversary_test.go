@@ -44,7 +44,7 @@ func TestRollbackAdversary(t *testing.T) {
 			if string(b.Data) != "version-1" {
 				t.Fatalf("expected rolled-back contents, got %q", b.Data)
 			}
-			if a.Stats().RolledBackBlobs == 0 {
+			if a.AdversaryStats().RolledBackBlobs == 0 {
 				t.Fatal("RolledBackBlobs not counted")
 			}
 			// The conditional read path is attacked identically.
@@ -107,7 +107,7 @@ func TestForkAdversary(t *testing.T) {
 			if blobs[0].Version != 2 || blobs[0].Data != nil {
 				t.Fatalf("unadvanced conditional read shipped data: %+v", blobs[0])
 			}
-			if a.Stats().ForkedBlobs == 0 {
+			if a.AdversaryStats().ForkedBlobs == 0 {
 				t.Fatal("ForkedBlobs not counted")
 			}
 
@@ -144,8 +144,8 @@ func TestDroppingAdversaryOverDurable(t *testing.T) {
 	if _, err := a.GetBlob("doc"); err != ErrBlobNotFound {
 		t.Fatalf("dropped blob should be missing from the durable store: %v", err)
 	}
-	if a.Stats().DroppedBlobs != 1 {
-		t.Fatalf("DroppedBlobs = %d", a.Stats().DroppedBlobs)
+	if a.AdversaryStats().DroppedBlobs != 1 {
+		t.Fatalf("DroppedBlobs = %d", a.AdversaryStats().DroppedBlobs)
 	}
 }
 

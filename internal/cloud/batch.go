@@ -11,8 +11,8 @@ package cloud
 
 // BlobPut is one named payload of a batched upload.
 type BlobPut struct {
-	Name string `json:"name"`
-	Data []byte `json:"data"`
+	Name string
+	Data []byte
 }
 
 // BatchService is the optional batch extension of Service. Callers should not
@@ -32,8 +32,8 @@ type BatchService interface {
 // wanted only if its stored version is strictly greater than IfNewer. Passing
 // IfNewer 0 fetches unconditionally.
 type CondGet struct {
-	Name    string `json:"name"`
-	IfNewer int    `json:"if_newer"`
+	Name    string
+	IfNewer int
 }
 
 // ConditionalBatchService is the optional conditional-fetch extension of

@@ -14,7 +14,7 @@
 // batch API (see BatchService) that amortizes one network round-trip over
 // many blobs. DESIGN.md documents both; experiment E9 measures them.
 //
-// Beyond the single providers (Memory in RAM, Durable on disk, Client over
+// Beyond the single providers (Memory in RAM, Durable on disk, FrameClient over
 // TCP), Replicated stripes the same contracts over N member backends with
 // quorum writes, read repair, hinted handoff and anti-entropy, so the fleet
 // keeps answering while providers fail (DESIGN.md §9, experiment E15); and
@@ -133,20 +133,12 @@ type Service interface {
 	Stats() Stats
 }
 
-// Stats counts the operations the infrastructure served, plus the adversarial
-// actions it silently performed. Experiments use it to report detection
-// rates.
+// Stats counts the operations the infrastructure served. An Adversary keeps
+// its adversarial actions apart (see Adversary.AdversaryStats).
 type Stats struct {
 	Puts, Gets, Deletes, Lists int64
 	Sends, Receives            int64
 	BytesStored                int64
-	TamperedBlobs              int64
-	ReplayedBlobs              int64
-	DroppedBlobs               int64
-	DroppedMessages            int64
-	ObservedBlobs              int64
-	RolledBackBlobs            int64
-	ForkedBlobs                int64
 }
 
 // AdversaryMode selects how the infrastructure misbehaves.

@@ -153,8 +153,8 @@ func TestTamperingAdversary(t *testing.T) {
 	if bytes.Equal(b.Data, original) {
 		t.Fatal("tampering adversary did not modify the blob")
 	}
-	if m.Stats().TamperedBlobs != 1 {
-		t.Fatalf("TamperedBlobs = %d", m.Stats().TamperedBlobs)
+	if m.AdversaryStats().TamperedBlobs != 1 {
+		t.Fatalf("TamperedBlobs = %d", m.AdversaryStats().TamperedBlobs)
 	}
 }
 
@@ -169,8 +169,8 @@ func TestReplayingAdversary(t *testing.T) {
 	if string(b.Data) != "version-1" {
 		t.Fatalf("expected replayed stale version, got %q", b.Data)
 	}
-	if m.Stats().ReplayedBlobs != 1 {
-		t.Fatalf("ReplayedBlobs = %d", m.Stats().ReplayedBlobs)
+	if m.AdversaryStats().ReplayedBlobs != 1 {
+		t.Fatalf("ReplayedBlobs = %d", m.AdversaryStats().ReplayedBlobs)
 	}
 	// Before any update there is nothing to replay.
 	m2 := NewAdversary(NewMemory(), AdversaryConfig{Mode: Replaying, ReplayRate: 1.0, Seed: 7})
@@ -194,7 +194,7 @@ func TestDroppingAdversary(t *testing.T) {
 	if len(msgs) != 0 {
 		t.Fatal("dropped message delivered")
 	}
-	st := m.Stats()
+	st := m.AdversaryStats()
 	if st.DroppedBlobs != 1 || st.DroppedMessages != 1 {
 		t.Fatalf("drop stats %+v", st)
 	}
@@ -213,8 +213,8 @@ func TestHonestButCuriousObservations(t *testing.T) {
 	if bytes.Equal(m.Observations()[0], obs[0]) {
 		t.Fatal("Observations exposes internal state")
 	}
-	if m.Stats().ObservedBlobs != 1 {
-		t.Fatalf("ObservedBlobs = %d", m.Stats().ObservedBlobs)
+	if m.AdversaryStats().ObservedBlobs != 1 {
+		t.Fatalf("ObservedBlobs = %d", m.AdversaryStats().ObservedBlobs)
 	}
 }
 

@@ -12,14 +12,17 @@ package cloud
 //	[4B big-endian length][8B big-endian request id][payload]
 //
 // where length counts the id plus the payload (so length >= 8), and the
-// payload is the JSON rpcRequest/rpcResponse codec of tcp.go, executed by
-// dispatch(). Request ids are chosen by the client, must be unique
-// among its in-flight requests, and are echoed on the response; nothing
-// else is read into them. A frame whose declared length exceeds the
-// server's MaxFrameBytes is answered with a typed error frame and the
-// connection is closed (the remaining bytes are unread, so the stream
-// cannot be resynchronized). A torn frame — the connection dying mid-frame
-// — just closes the connection; the client fails all in-flight calls.
+// payload is the binary rpcRequest/rpcResponse codec of tcp.go, executed by
+// dispatch(). Each frame is encoded into one buffer behind a reserved header
+// and leaves in one write. Request ids are chosen by the client, must be
+// unique among its in-flight requests, and are echoed on the response;
+// nothing else is read into them. A payload the codec rejects — JSON
+// included — is answered on its id with a malformed-payload error and the
+// connection stays up. A frame whose declared length exceeds the server's
+// MaxFrameBytes is answered with a typed error frame and the connection is
+// closed (the remaining bytes are unread, so the stream cannot be
+// resynchronized). A torn frame — the connection dying mid-frame — just
+// closes the connection; the client fails all in-flight calls.
 //
 // An optional first frame with Op "hello" and Name <tenant> binds the
 // connection to that tenant's namespaced view (see Tenants). Connections
@@ -29,7 +32,6 @@ package cloud
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -65,44 +67,43 @@ const opHello = "hello"
 // cannot carry.
 const errFrameTooLarge = "cloud: frame exceeds size limit"
 
-// writeFrame writes one length-prefixed frame. Callers serialize access to w.
-func writeFrame(w io.Writer, id uint64, payload []byte) error {
-	var hdr [frameHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(8+len(payload)))
-	binary.BigEndian.PutUint64(hdr[4:12], id)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+// newFrame returns an empty frame buffer: the header is reserved, and a
+// payload of up to size bytes appends without growing it.
+func newFrame(size int) []byte {
+	return make([]byte, frameHeaderSize, frameHeaderSize+size)
+}
+
+// sendFrame fills the header reserved at the front of frame and writes the
+// whole frame in one call. Callers serialize access to w.
+func sendFrame(w io.Writer, id uint64, frame []byte) error {
+	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
+	binary.BigEndian.PutUint64(frame[4:frameHeaderSize], id)
+	_, err := w.Write(frame)
 	return err
 }
 
 // readFrame reads one frame, rejecting declared lengths above maxBytes with
 // errTooLarge (after consuming the 8-byte id so the caller can answer it).
+// The payload is freshly allocated and never reused, so the decoded blobs
+// that alias it stay valid.
 var errTooLarge = errors.New("cloud: frame too large")
 
 func readFrame(r io.Reader, maxBytes int) (id uint64, payload []byte, err error) {
 	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
 	length := binary.BigEndian.Uint32(hdr[:4])
 	if length < 8 {
 		return 0, nil, fmt.Errorf("cloud: malformed frame length %d", length)
 	}
-	if int(length) > maxBytes {
-		// Read the id so the peer can be told which request died, then
-		// report; the unread payload makes the stream unrecoverable and the
-		// caller must close the connection.
-		if _, err := io.ReadFull(r, hdr[4:12]); err != nil {
-			return 0, nil, err
-		}
-		return binary.BigEndian.Uint64(hdr[4:12]), nil, errTooLarge
-	}
-	if _, err := io.ReadFull(r, hdr[4:12]); err != nil {
-		return 0, nil, err
-	}
 	id = binary.BigEndian.Uint64(hdr[4:12])
+	if int(length) > maxBytes {
+		// The id is read so the peer can be told which request died; the
+		// unread payload makes the stream unrecoverable and the caller must
+		// close the connection.
+		return id, nil, errTooLarge
+	}
 	if length-8 > eagerFrameBytes {
 		var buf bytes.Buffer
 		if _, err := io.CopyN(&buf, r, int64(length-8)); err != nil {
@@ -205,16 +206,14 @@ type frameConn struct {
 	writeMu sync.Mutex
 }
 
-func (fc *frameConn) respond(id uint64, resp rpcResponse) error {
-	payload, err := json.Marshal(&resp)
-	if err != nil {
-		payload, _ = json.Marshal(&rpcResponse{Err: "cloud: response encoding failed"})
-	} else if int64(len(payload)) > maxFramePayload {
-		payload, _ = json.Marshal(&rpcResponse{Err: errFrameTooLarge})
+func (fc *frameConn) respond(id uint64, resp *rpcResponse) error {
+	frame := appendResponse(newFrame(responseSize(resp)), resp)
+	if int64(len(frame)-frameHeaderSize) > maxFramePayload {
+		frame = appendResponse(frame[:frameHeaderSize], &rpcResponse{Err: errFrameTooLarge})
 	}
 	fc.writeMu.Lock()
 	defer fc.writeMu.Unlock()
-	return writeFrame(fc.conn, id, payload)
+	return sendFrame(fc.conn, id, frame)
 }
 
 func (s *FrameServer) handle(conn net.Conn) {
@@ -227,16 +226,15 @@ func (s *FrameServer) handle(conn net.Conn) {
 	for {
 		id, payload, err := readFrame(conn, s.opts.MaxFrameBytes)
 		if err == errTooLarge {
-			resp := rpcResponse{Err: errFrameTooLarge}
-			_ = fc.respond(id, resp)
+			_ = fc.respond(id, &rpcResponse{Err: errFrameTooLarge})
 			return
 		}
 		if err != nil {
 			return // torn frame, peer gone, or malformed length
 		}
-		var req rpcRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			if fc.respond(id, rpcResponse{Err: "cloud: malformed frame payload"}) != nil {
+		req, err := decodeRequest(payload)
+		if err != nil {
+			if fc.respond(id, &rpcResponse{Err: err.Error()}) != nil {
 				return
 			}
 			continue
@@ -251,7 +249,7 @@ func (s *FrameServer) handle(conn net.Conn) {
 			} else {
 				svc = view
 			}
-			if fc.respond(id, resp) != nil {
+			if fc.respond(id, &resp) != nil {
 				return
 			}
 			continue
@@ -261,7 +259,8 @@ func (s *FrameServer) handle(conn net.Conn) {
 		go func(svc Service, id uint64, req rpcRequest) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			_ = fc.respond(id, dispatch(svc, req))
+			resp := dispatch(svc, req)
+			_ = fc.respond(id, &resp)
 		}(svc, id, req)
 	}
 }
@@ -333,8 +332,8 @@ func (c *FrameClient) readLoop() {
 			c.fail(fmt.Errorf("%w: receive: %w", errTransport, err))
 			return
 		}
-		var resp rpcResponse
-		if err := json.Unmarshal(payload, &resp); err != nil {
+		resp, err := decodeResponse(payload)
+		if err != nil {
 			c.fail(fmt.Errorf("%w: receive: %w", errTransport, err))
 			return
 		}
@@ -361,11 +360,8 @@ func (c *FrameClient) fail(err error) {
 }
 
 func (c *FrameClient) call(req rpcRequest) (rpcResponse, error) {
-	payload, err := json.Marshal(&req)
-	if err != nil {
-		return rpcResponse{}, fmt.Errorf("cloud: framed encode: %w", err)
-	}
-	if int64(len(payload)) > maxFramePayload {
+	frame := appendRequest(newFrame(requestSize(&req)), &req)
+	if int64(len(frame)-frameHeaderSize) > maxFramePayload {
 		return rpcResponse{}, errors.New(errFrameTooLarge)
 	}
 	id := c.nextID.Add(1)
@@ -380,7 +376,7 @@ func (c *FrameClient) call(req rpcRequest) (rpcResponse, error) {
 	c.mu.Unlock()
 
 	c.writeMu.Lock()
-	err = writeFrame(c.conn, id, payload)
+	err := sendFrame(c.conn, id, frame)
 	c.writeMu.Unlock()
 	if err != nil {
 		c.mu.Lock()

@@ -3,9 +3,9 @@ package cloud
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"runtime"
@@ -26,6 +26,11 @@ func startFrameServer(t *testing.T, svc Service, opts FrameServerOptions) string
 	go func() { _ = srv.Serve(ln) }()
 	t.Cleanup(func() { _ = srv.Close() })
 	return ln.Addr().String()
+}
+
+// writeFrame writes payload as one frame tagged with id.
+func writeFrame(w io.Writer, id uint64, payload []byte) error {
+	return sendFrame(w, id, append(newFrame(len(payload)), payload...))
 }
 
 // blockingService stalls PutBlob until released, so tests can hold requests
@@ -223,8 +228,8 @@ func TestFrameOversizedRejected(t *testing.T) {
 	if id != 77 {
 		t.Fatalf("rejection answered id %d, want 77", id)
 	}
-	var resp rpcResponse
-	if err := json.Unmarshal(payload, &resp); err != nil {
+	resp, err := decodeResponse(payload)
+	if err != nil {
 		t.Fatalf("decode rejection: %v", err)
 	}
 	if resp.Err != errFrameTooLarge {
@@ -372,16 +377,13 @@ func TestFrameLargeBodyGrowsAsItArrives(t *testing.T) {
 }
 
 // FuzzFrameDecode feeds arbitrary bytes through the decoder every client
-// faces: readFrame, then the JSON payload codec on both ends. Nothing may
+// faces: readFrame, then the binary payload codec on both ends. Nothing may
 // panic; a declared length over the limit must fail with errTooLarge
 // without the body being read or allocated; lengths under the 8-byte id
 // are malformed.
 func FuzzFrameDecode(f *testing.F) {
 	const maxBytes = 4096
-	valid, err := json.Marshal(&rpcRequest{Op: "put", Name: "alice/doc", Data: []byte("sealed")})
-	if err != nil {
-		f.Fatal(err)
-	}
+	valid := appendRequest(nil, &rpcRequest{Op: "put", Name: "alice/doc", Data: []byte("sealed")})
 	var frame bytes.Buffer
 	if err := writeFrame(&frame, 7, valid); err != nil {
 		f.Fatal(err)
@@ -425,10 +427,8 @@ func FuzzFrameDecode(f *testing.F) {
 			if len(payload) != int(length)-8 || id != binary.BigEndian.Uint64(hdr[4:12]) {
 				t.Fatalf("frame decoded as id %d with %d payload bytes from header %x", id, len(payload), hdr[:12])
 			}
-			var req rpcRequest
-			_ = json.Unmarshal(payload, &req)
-			var resp rpcResponse
-			if json.Unmarshal(payload, &resp) == nil {
+			_, _ = decodeRequest(payload)
+			if resp, err := decodeResponse(payload); err == nil {
 				_ = respError(resp)
 			}
 		}

@@ -1369,11 +1369,12 @@ func (r *Replicated) GetBlobsIf(gets []CondGet) ([]Blob, error) {
 
 // --- anti-entropy -----------------------------------------------------------
 
-// AntiEntropy drains every hint queue, then scans the union of blob names —
-// grouped by the same package-level FNV sharding that stripes Memory and
-// Durable — comparing members shard by shard and rewriting stale copies with
-// the winning blob. One pass converges every reachable member to the
-// element-wise maximum state (including writes lost to hint-queue overflow).
+// AntiEntropy waits out the write fan-outs in flight, drains every hint
+// queue, then scans the union of blob names — grouped by the same
+// package-level FNV sharding that stripes Memory and Durable — comparing
+// members shard by shard and rewriting stale copies with the winning blob.
+// One pass converges every reachable member to the element-wise maximum
+// state (including writes lost to hint-queue overflow).
 //
 // Quarantined members never contribute names or winning blobs — a convicted
 // provider must not be able to launder rolled-back or forked state through
@@ -1383,6 +1384,7 @@ func (r *Replicated) GetBlobsIf(gets []CondGet) ([]Blob, error) {
 // winners themselves pass verification.
 func (r *Replicated) AntiEntropy() (RepairReport, error) {
 	var report RepairReport
+	r.settleWrites()
 	report.HintsDrained = r.DrainHints()
 
 	live := r.readEligible()
@@ -1429,6 +1431,23 @@ func (r *Replicated) AntiEntropy() (RepairReport, error) {
 	}
 	r.repairQuarantined(names, reachable, &report)
 	return report, nil
+}
+
+// settleWrites takes every name stripe, in the ascending order lockStripes
+// uses, then releases them all. A write holds its stripe until each of its
+// member calls has returned and, on failure, queued its hint, so afterwards
+// every write acknowledged before the call has either landed on each member
+// or left a hint for the drain that follows. Without it, a member call that
+// fails after the drain queues a hint no pass replays, and the scan skips
+// the member while it holds it. New writes wait at most for the slowest
+// fan-out in flight, which CallTimeout bounds unless it is disabled.
+func (r *Replicated) settleWrites() {
+	for i := range r.nameMu {
+		r.nameMu[i].Lock()
+	}
+	for i := range r.nameMu {
+		r.nameMu[i].Unlock()
+	}
 }
 
 // repairQuarantined is the probe-based re-admission path for members under

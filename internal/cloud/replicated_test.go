@@ -107,6 +107,69 @@ func TestReplicatedExactlyWAcksWithHungMember(t *testing.T) {
 	}
 }
 
+// stalledPutService blocks its first PutBlob until released and then fails
+// it, as a member whose connection dies under a write does; later puts
+// pass through.
+type stalledPutService struct {
+	*Memory
+	entered, release chan struct{}
+	calls            atomic.Int32
+}
+
+func (s *stalledPutService) PutBlob(name string, data []byte) (int, error) {
+	if s.calls.Add(1) == 1 {
+		close(s.entered)
+		<-s.release
+		return 0, ErrUnavailable
+	}
+	return s.Memory.PutBlob(name, data)
+}
+
+// TestReplicatedAntiEntropySettlesInflightWrites pins the stranded-hint
+// race: a write acknowledged at W whose third member call is still in
+// flight when an anti-entropy pass starts, and fails only later. The pass
+// must wait for that call, so its failure queues a hint the pass's drain
+// replays; a pass that ran ahead would find no hint, leave the member
+// unrepaired (the write's stripe is busy) and let the hint strand behind a
+// down mark.
+func TestReplicatedAntiEntropySettlesInflightWrites(t *testing.T) {
+	stalled := &stalledPutService{Memory: NewMemory(), entered: make(chan struct{}), release: make(chan struct{})}
+	r, err := NewReplicated([]Service{NewMemory(), NewMemory(), stalled},
+		ReplicatedOptions{WriteQuorum: 2, ReadQuorum: 2, FailThreshold: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.PutBlob("doc", []byte("acked")); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	<-stalled.entered
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.AntiEntropy()
+		done <- err
+	}()
+	// Give a pass that does not wait for the write time to finish first.
+	var passErr error
+	finished := false
+	select {
+	case passErr = <-done:
+		finished = true
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(stalled.release)
+	if !finished {
+		passErr = <-done
+	}
+	if passErr != nil {
+		t.Fatalf("anti-entropy: %v", passErr)
+	}
+	if b, err := stalled.Memory.GetBlob("doc"); err != nil || string(b.Data) != "acked" {
+		t.Fatalf("member 2 after anti-entropy: %+v %v (down=%v)", b, err, r.MemberDown(2))
+	}
+}
+
 // TestReplicatedReadRepair seeds members with diverged histories and checks a
 // quorum read reconciles to the maximum version — and rewrites the stale
 // member so the next read finds the fleet converged.

@@ -379,7 +379,7 @@ func RunE5(cfg E5Config) (*Table, error) {
 			}
 		}
 		perBlob := time.Since(start) / time.Duration(cfg.Blobs)
-		tampered := int(svc.Stats().TamperedBlobs)
+		tampered := int(svc.AdversaryStats().TamperedBlobs)
 		rateStr := "n/a"
 		if tampered > 0 {
 			rateStr = fmt.Sprintf("%.0f%%", 100*float64(detected)/float64(tampered))
